@@ -149,7 +149,7 @@ class CheckpointStore:
         except FileNotFoundError:
             return None
         except OSError as exc:
-            self._quarantine(path, f"unreadable ({exc})")
+            self._quarantine(path, f"unreadable ({exc})", blob=True)
             return None
         self.loaded += 1
         return payload
@@ -180,10 +180,12 @@ class CheckpointStore:
         content detected by the caller's own validation)."""
         path = self.blob_path(name)
         if path.exists():
-            self._quarantine(path, reason)
+            self._quarantine(path, reason, blob=True)
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a bad checkpoint aside instead of silently deleting it."""
+    def _quarantine(self, path: Path, reason: str,
+                    blob: bool = False) -> None:
+        """Move a bad checkpoint or named blob aside instead of silently
+        deleting it, and warn with what it was and why."""
         quarantine = self.root / QUARANTINE_DIR
         try:
             quarantine.mkdir(parents=True, exist_ok=True)
@@ -195,12 +197,12 @@ class CheckpointStore:
                 pass
         self.quarantined += 1
         sweepcache.note_quarantine()
-        warnings.warn(
-            f"quarantined {reason} sweep checkpoint {path.name}; "
-            "its slab will be re-simulated",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        if blob:
+            message = f"quarantined {reason}: blob {path.name}"
+        else:
+            message = (f"quarantined {reason} sweep checkpoint "
+                       f"{path.name}; its slab will be re-simulated")
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
 
     def discard(self, tasks: list[SweepTask] | tuple[SweepTask, ...]) -> int:
         """Remove the checkpoints for *tasks* (after a completed sweep)."""

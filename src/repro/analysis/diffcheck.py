@@ -9,9 +9,9 @@ ladder, and diffs them at two grains:
 * **per access** — hit/miss verdict, the evicted-block tuples of every
   eviction invocation, and the number of links unpatched must match
   exactly; the first divergence is reported with its trace position.
-* **final stats** — every integer counter must match exactly; overhead
-  floats must agree to relative 1e-9 (the two sides may legally sum the
-  same per-event charges in different orders).
+* **final stats** — every counter and every Equation 2-4 overhead must
+  match exactly (the overheads are closed forms over the counters, so
+  equal counters give equal overheads).
 
 A clean diff means the fast implementation and the obviously-correct
 one agree access for access on every rung — the strongest correctness
@@ -21,7 +21,6 @@ statement this repo can make short of the original DynamoRIO logs.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 from repro.core.cache import ConfigurationError
@@ -45,18 +44,14 @@ DEFAULT_TRACE_ACCESSES = 6000
 
 DEFAULT_PRESSURES = (2.0, 10.0)
 
-#: Relative tolerance for overhead floats (identical charges, possibly
-#: summed in a different order).
-FLOAT_RTOL = 1e-9
-
-_INT_FIELDS = (
+_COMPARED_FIELDS = (
     "accesses", "hits", "misses", "inserted_bytes",
     "eviction_invocations", "evicted_blocks", "evicted_bytes",
     "unlink_operations", "links_removed",
     "links_established_intra", "links_established_inter",
     "peak_backpointer_bytes", "preemptive_flushes",
+    "miss_overhead", "eviction_overhead", "unlink_overhead",
 )
-_FLOAT_FIELDS = ("miss_overhead", "eviction_overhead", "unlink_overhead")
 
 
 @dataclass(frozen=True)
@@ -150,13 +145,9 @@ def _diff_outcomes(optimized: list[AccessOutcome],
 def _diff_stats(optimized: SimulationStats,
                 reference: SimulationStats) -> list[str]:
     problems = []
-    for name in _INT_FIELDS:
+    for name in _COMPARED_FIELDS:
         a, b = getattr(optimized, name), getattr(reference, name)
         if a != b:
-            problems.append(f"{name}: {a} vs {b}")
-    for name in _FLOAT_FIELDS:
-        a, b = getattr(optimized, name), getattr(reference, name)
-        if not math.isclose(a, b, rel_tol=FLOAT_RTOL, abs_tol=1e-6):
             problems.append(f"{name}: {a!r} vs {b!r}")
     return problems
 

@@ -22,26 +22,20 @@ tracking) the kernel renders one flat Python function with every miss
 body inlined behind its residency-bit test and every counter held in a
 local variable, then compiles and memoizes the function.  Compared to
 dispatching per-geometry closures this removes all per-miss call
-overhead and nonlocal-cell traffic, and the per-access size, cost, and
+overhead and nonlocal-cell traffic, and the per-access size and
 adjacency loads are shared by every geometry that misses on the same
 access.  The generated code is batched array code — dense precomputed
-sizes, per-model miss costs, deduplicated adjacency, flat per-frontier
-buffers, no per-access object churn — and counts neighbour residency
-with C-speed ``sum(map(bytearray.__getitem__, ...))`` scans.
+sizes, deduplicated adjacency, flat per-frontier buffers, no per-access
+object churn — and counts neighbour residency with C-speed
+``sum(map(bytearray.__getitem__, ...))`` scans.
 
 Equivalence contract
 --------------------
 Kernel output is *field-identical* to per-point
-:class:`~repro.core.simulator.CodeCacheSimulator` replay — including the
-float accumulators, which requires mirroring the replay loops'
-accumulation grouping exactly:
-
-* links mode charges ``miss_overhead`` once per miss and runs one
-  ``_account_evictions`` batch per miss (locals summed over the miss's
-  events, then one ``+=`` per field);
-* the no-links batched path keeps running totals over the whole trace;
-* unlink records are generated in ``set(evicted)`` iteration order, and
-  records for a whole event batch are costed before any links drop.
+:class:`~repro.core.simulator.CodeCacheSimulator` replay.  Every field
+is an integer counter (the Equation 2-4 overheads are derived from the
+counters by :class:`~repro.core.metrics.SimulationStats`), so the
+contract is about what is counted, never about summation order.
 
 Link accounting needs no per-geometry link maps: with a static link
 graph, a link ``(s, t)`` is live in geometry *g* exactly when both
@@ -146,11 +140,11 @@ class _Population:
 
     One workload is swept at many pressures (and, under slice sharding,
     by many tasks in the same worker process), so the flattening work —
-    sizes, per-model miss costs, deduplicated adjacency — is memoized
+    sizes, deduplicated adjacency, miss prelude rows — is memoized
     per :class:`SuperblockSet` (weakly, so it dies with the workload).
     """
 
-    __slots__ = ("count", "remap", "sizes", "_miss_costs", "_pre",
+    __slots__ = ("count", "remap", "sizes", "pre",
                  "out_lists", "in_lists", "out_nonself", "self_flags",
                  "nbr_all", "nbr_get", "in_get", "outns_get",
                  "unit_nbr_get", "c_data", "__weakref__")
@@ -165,8 +159,10 @@ class _Population:
         else:
             self.remap = {sid: index for index, sid in enumerate(sids)}
             self.sizes = [size_map[sid] for sid in sids]
-        self._miss_costs: dict[tuple, list[float]] = {}
-        self._pre: dict[tuple, list[tuple]] = {}
+        #: Links-mode per-sid miss prelude rows ``(size, neighbours,
+        #: self-loop flag)``: one index plus one tuple unpack in the hot
+        #: loop instead of one lookup per array.
+        self.pre: list[tuple] = []
         self.out_lists: list[tuple[int, ...]] | None = None
         self.in_lists: list[tuple[int, ...]] = []
         self.out_nonself: list[tuple[int, ...]] = []
@@ -178,30 +174,6 @@ class _Population:
         self.unit_nbr_get: list = []
         #: ckernel's memo for contiguous C-side views of these arrays.
         self.c_data: dict = {}
-
-    def miss_costs(self, model: OverheadModel) -> list[float]:
-        key = (model.miss.slope, model.miss.intercept)
-        costs = self._miss_costs.get(key)
-        if costs is None:
-            slope, intercept = key
-            costs = [slope * size + intercept for size in self.sizes]
-            self._miss_costs[key] = costs
-        return costs
-
-    def prelude(self, model: OverheadModel, track_links: bool) -> list:
-        """Per-sid miss prelude rows, so the hot loop pays one index
-        plus one tuple unpack instead of one lookup per array."""
-        key = (model.miss.slope, model.miss.intercept, track_links)
-        rows = self._pre.get(key)
-        if rows is None:
-            mc = self.miss_costs(model)
-            if track_links:
-                rows = list(zip(self.sizes, mc, self.nbr_all,
-                                self.self_flags))
-            else:
-                rows = list(zip(self.sizes, mc))
-            self._pre[key] = rows
-        return rows
 
     def ensure_links(self, superblocks: SuperblockSet) -> None:
         if self.out_lists is not None:
@@ -228,6 +200,7 @@ class _Population:
         self.out_nonself = out_nonself
         self.self_flags = self_flags
         self.nbr_all = nbr_all
+        self.pre = list(zip(self.sizes, nbr_all, self_flags))
         # Precompiled neighbour gathers.  Residency arrays carry one
         # extra always-zero sentinel slot (index ``count``; the unit
         # map's sentinel stays -1), and every index tuple is padded
@@ -278,7 +251,7 @@ def _c_max_geometries() -> int:
 
 
 def _run_c_engine(population, trace, kinds, caps, ucaps, ucounts,
-                  overhead_model, track_links):
+                  track_links):
     """Run the grid through the compiled kernel, or return ``None``
     when it is unavailable (no compiler, no numpy, shape refused)."""
     try:
@@ -286,7 +259,7 @@ def _run_c_engine(population, trace, kinds, caps, ucaps, ucounts,
     except ImportError:
         return None
     return ckernel.run_geometries(population, trace, kinds, caps, ucaps,
-                                  ucounts, overhead_model, track_links)
+                                  ucounts, track_links)
 
 
 def one_pass_sweep(
@@ -427,8 +400,7 @@ def one_pass_grid(
                     + one_pass_grid(superblocks, trace, capacities[half:],
                                     configs, **shared))
         geometry_stats = _run_c_engine(population, trace, kinds, caps,
-                                       ucaps, ucounts, overhead_model,
-                                       track_links)
+                                       ucaps, ucounts, track_links)
         if geometry_stats is None and mode == "c":
             from repro.analysis import ckernel
             raise RuntimeError(
@@ -450,19 +422,15 @@ def one_pass_grid(
         kwargs = dict(
             trace=py_trace,
             residency=[0] * population.count,
-            pre=population.prelude(overhead_model, track_links),
             sizes=population.sizes,
             n_blocks=population.count,
-            ev_s=overhead_model.eviction.slope,
-            ev_i=overhead_model.eviction.intercept,
             _sum=sum,
             _deque=deque,
             **geometry_kwargs,
         )
         if track_links:
             kwargs.update(
-                ul_s=overhead_model.unlink.slope,
-                ul_i=overhead_model.unlink.intercept,
+                pre=population.pre,
                 bp_bytes=BACKPOINTER_ENTRY_BYTES,
                 self_flags=population.self_flags,
                 nbr_get=population.nbr_get,
@@ -477,7 +445,8 @@ def one_pass_grid(
     for row in cell_geometry:
         cell: dict[str, SimulationStats] = {}
         for config, geometry in zip(configs, row):
-            stats = SimulationStats(**geometry_stats[geometry])
+            stats = SimulationStats(**geometry_stats[geometry],
+                                    overhead_model=overhead_model)
             stats.policy_name = config.name
             stats.benchmark = benchmark
             stats.accesses = accesses
@@ -494,13 +463,13 @@ def one_pass_grid(
 # the complement of its residency bit.  Every temporary is suffixed
 # with the geometry index so inlined bodies stay independent.  Mutable
 # frontier state is created inside the generated function (fresh per
-# call); read-only arrays, capacities, and cost coefficients arrive as
-# parameters, which keeps one compiled function reusable for every
-# capacity and overhead model that shares the same geometry shape.
+# call); read-only arrays and capacities arrive as parameters, which
+# keeps one compiled function reusable for every capacity that shares
+# the same geometry shape.
 
-_SHARED_PARAMS = ("trace", "residency", "pre", "sizes", "n_blocks",
-                  "ev_s", "ev_i", "_sum", "_deque")
-_LINK_PARAMS = ("ul_s", "ul_i", "bp_bytes", "self_flags",
+_SHARED_PARAMS = ("trace", "residency", "sizes", "n_blocks", "_sum",
+                  "_deque")
+_LINK_PARAMS = ("pre", "bp_bytes", "self_flags",
                 "nbr_get", "in_get", "outns_get", "unit_nbr_get")
 
 _UNIT_PARAMS = ("ucap_@i@", "ucount_@i@")
@@ -509,15 +478,12 @@ _CAP_PARAMS = ("cap_@i@",)
 _COUNTER_INIT = """\
 misses_@i@ = 0
 ins_@i@ = 0
-mo_@i@ = 0.0
 evB_@i@ = 0
-evo_@i@ = 0.0
 """
 
 _LINK_COUNTER_INIT = """\
 ulops_@i@ = 0
 ulrem_@i@ = 0
-ulo_@i@ = 0.0
 intra_@i@ = 0
 inter_@i@ = 0
 live_@i@ = 0
@@ -528,7 +494,6 @@ res_@i@ = bytearray(n_blocks + 1)
 _MISS_PRELUDE = """\
 misses_@i@ += 1
 ins_@i@ += size
-mo_@i@ += mcs
 """
 
 _UNIT_INIT = _COUNTER_INIT + """\
@@ -539,9 +504,7 @@ units_@i@ = [[] for _unused in range(ucount_@i@)]
 used_@i@ = [0] * ucount_@i@
 """
 
-# UnitCache semantics, links untracked: running totals over the whole
-# trace, eviction overhead accumulated per event, exactly like
-# CodeCacheSimulator._process_batched.
+# UnitCache semantics, links untracked.
 _UNIT_BODY = _MISS_PRELUDE + """\
 if used_@i@[fill_@i@] + size > ucap_@i@:
     fill_@i@ += 1
@@ -552,7 +515,6 @@ if used_@i@[fill_@i@] + size > ucap_@i@:
         inv_@i@ += 1
         evb_@i@ += len(victims_@i@)
         evB_@i@ += used_@i@[fill_@i@]
-        evo_@i@ += ev_s * used_@i@[fill_@i@] + ev_i
         for v_@i@ in victims_@i@:
             residency[v_@i@] &= @nb@
         units_@i@[fill_@i@] = []
@@ -562,9 +524,9 @@ used_@i@[fill_@i@] += size
 """
 
 _UNIT_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=inv_@i@, evicted_blocks=evb_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@)
+     evicted_bytes=evB_@i@)
 """
 
 _FIFO_INIT = _COUNTER_INIT + """\
@@ -584,16 +546,15 @@ while fused_@i@ + size > cap_@i@:
     fused_@i@ -= vs_@i@
     nev_@i@ += 1
     evB_@i@ += vs_@i@
-    evo_@i@ += ev_s * vs_@i@ + ev_i
     residency[v_@i@] &= @nb@
 append_@i@(sid)
 fused_@i@ += size
 """
 
 _FIFO_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=nev_@i@, evicted_blocks=nev_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@)
+     evicted_bytes=evB_@i@)
 """
 
 _FLUSH_LINKS_INIT = _COUNTER_INIT + _LINK_COUNTER_INIT + """\
@@ -614,7 +575,6 @@ if fused_@i@ + size > cap_@i@:
     inv_@i@ += 1
     evb_@i@ += len(blocks_@i@)
     evB_@i@ += fused_@i@
-    evo_@i@ += ev_s * fused_@i@ + ev_i
     for v_@i@ in blocks_@i@:
         residency[v_@i@] &= @nb@
     res_@i@ = bytearray(n_blocks + 1)
@@ -640,9 +600,9 @@ elif sf:
 """
 
 _FLUSH_LINKS_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=inv_@i@, evicted_blocks=evb_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@,
+     evicted_bytes=evB_@i@,
      links_established_intra=intra_@i@,
      peak_backpointer_bytes=plive_@i@ * bp_bytes)
 """
@@ -655,10 +615,8 @@ ua_@i@ = [-1] * (n_blocks + 1)
 # accounting.  A unit eviction is one event: the out-side dead-link
 # scan runs with every victim still flagged resident (links to
 # co-victims are live until the event drops them), the flags then
-# clear, and the in-side survivor counts — taken in set(victims)
-# iteration order, the order LinkManager.on_evict emits unlink records
-# in — become plain residency sums with the co-victim exclusion built
-# in.  ua_@i@[x] is the unit holding x, or -1 when absent, answering
+# clear, and the in-side survivor counts become plain residency sums
+# with the co-victim exclusion built in.  ua_@i@[x] is the unit holding x, or -1 when absent, answering
 # residency and link classification with one load.
 _UNIT_LINKS_BODY = _MISS_PRELUDE + """\
 if used_@i@[fill_@i@] + size > ucap_@i@:
@@ -670,7 +628,6 @@ if used_@i@[fill_@i@] + size > ucap_@i@:
         inv_@i@ += 1
         evb_@i@ += len(victims_@i@)
         evB_@i@ += used_@i@[fill_@i@]
-        evo_@i@ += ev_s * used_@i@[fill_@i@] + ev_i
         dead_@i@ = 0
         for v_@i@ in victims_@i@:
             dead_@i@ += self_flags[v_@i@] + _sum(
@@ -679,15 +636,12 @@ if used_@i@[fill_@i@] + size > ucap_@i@:
             residency[v_@i@] &= @nb@
             res_@i@[v_@i@] = 0
             ua_@i@[v_@i@] = -1
-        ulo_l_@i@ = 0.0
-        for v_@i@ in set(victims_@i@):
+        for v_@i@ in victims_@i@:
             sur_@i@ = _sum(in_get[v_@i@](res_@i@))
             if sur_@i@:
                 ulops_@i@ += 1
                 ulrem_@i@ += sur_@i@
-                ulo_l_@i@ += ul_s * sur_@i@ + ul_i
             dead_@i@ += sur_@i@
-        ulo_@i@ += ulo_l_@i@
         live_@i@ -= dead_@i@
         units_@i@[fill_@i@] = []
         used_@i@[fill_@i@] = 0
@@ -707,11 +661,11 @@ if est_@i@:
 """
 
 _UNIT_LINKS_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=inv_@i@, evicted_blocks=evb_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@,
+     evicted_bytes=evB_@i@,
      unlink_operations=ulops_@i@, links_removed=ulrem_@i@,
-     unlink_overhead=ulo_@i@, links_established_intra=intra_@i@,
+     links_established_intra=intra_@i@,
      links_established_inter=inter_@i@,
      peak_backpointer_bytes=plive_@i@ * bp_bytes)
 """
@@ -722,32 +676,23 @@ _FIFO_LINKS_INIT = _FIFO_INIT + _LINK_COUNTER_INIT
 # its own event, processed sequentially: a later victim of the same
 # miss still counts as a surviving source for an earlier one (its links
 # have not dropped yet), which the residency flags reproduce because
-# each victim's flag clears only when its event is processed.  Event
-# costs for one miss are summed into locals and flushed with one +=
-# per field, matching _account_evictions.  Each block is its own unit,
-# so only self-loops are intra-unit.
+# each victim's flag clears only when its event is processed.  Each
+# block is its own unit, so only self-loops are intra-unit.
 _FIFO_LINKS_BODY = _MISS_PRELUDE + """\
-if fused_@i@ + size > cap_@i@:
-    evo_l_@i@ = 0.0
-    ulo_l_@i@ = 0.0
-    while fused_@i@ + size > cap_@i@:
-        v_@i@ = popleft_@i@()
-        vs_@i@ = sizes[v_@i@]
-        fused_@i@ -= vs_@i@
-        nev_@i@ += 1
-        evB_@i@ += vs_@i@
-        evo_l_@i@ += ev_s * vs_@i@ + ev_i
-        sur_@i@ = _sum(in_get[v_@i@](res_@i@))
-        if sur_@i@:
-            ulops_@i@ += 1
-            ulrem_@i@ += sur_@i@
-            ulo_l_@i@ += ul_s * sur_@i@ + ul_i
-        live_@i@ -= sur_@i@ + self_flags[v_@i@] + _sum(
-            outns_get[v_@i@](res_@i@))
-        residency[v_@i@] &= @nb@
-        res_@i@[v_@i@] = 0
-    evo_@i@ += evo_l_@i@
-    ulo_@i@ += ulo_l_@i@
+while fused_@i@ + size > cap_@i@:
+    v_@i@ = popleft_@i@()
+    vs_@i@ = sizes[v_@i@]
+    fused_@i@ -= vs_@i@
+    nev_@i@ += 1
+    evB_@i@ += vs_@i@
+    sur_@i@ = _sum(in_get[v_@i@](res_@i@))
+    if sur_@i@:
+        ulops_@i@ += 1
+        ulrem_@i@ += sur_@i@
+    live_@i@ -= sur_@i@ + self_flags[v_@i@] + _sum(
+        outns_get[v_@i@](res_@i@))
+    residency[v_@i@] &= @nb@
+    res_@i@[v_@i@] = 0
 append_@i@(sid)
 fused_@i@ += size
 res_@i@[sid] = 1
@@ -767,11 +712,11 @@ elif sf:
 """
 
 _FIFO_LINKS_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=nev_@i@, evicted_blocks=nev_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@,
+     evicted_bytes=evB_@i@,
      unlink_operations=ulops_@i@, links_removed=ulrem_@i@,
-     unlink_overhead=ulo_@i@, links_established_intra=intra_@i@,
+     links_established_intra=intra_@i@,
      links_established_inter=inter_@i@,
      peak_backpointer_bytes=plive_@i@ * bp_bytes)
 """
@@ -815,9 +760,9 @@ def render_runner_source(kinds: tuple[str, ...],
                            "        ").lstrip())
     full = (1 << len(kinds)) - 1
     if track_links:
-        prelude = ["        size, mcs, nbrs, sf = pre[sid]"]
+        prelude = ["        size, nbrs, sf = pre[sid]"]
     else:
-        prelude = ["        size, mcs = pre[sid]"]
+        prelude = ["        size = sizes[sid]"]
     return "\n".join([
         f"def _kernel_run({', '.join(params)}):",
         "".join(inits),

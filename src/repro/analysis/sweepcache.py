@@ -50,9 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 #: Simulator/workload semantics version.  Bump whenever a code change
 #: alters what a sweep produces for the same inputs; old entries then
-#: miss instead of silently serving stale numbers.  "2" adds the
-#: fault-tolerance report field to SweepResult.
-CACHE_VERSION = "2"
+#: miss instead of silently serving stale numbers.  "2" added the
+#: fault-tolerance report field to SweepResult; "3" derives the Equation
+#: 2-4 overheads from counters, which changes the pickled
+#: SimulationStats layout.
+CACHE_VERSION = "3"
 
 ENV_CACHE_DIR = "REPRO_SWEEP_CACHE_DIR"
 ENV_CACHE = "REPRO_SWEEP_CACHE"

@@ -5,17 +5,26 @@ run produces; module functions combine per-benchmark stats into the
 paper's suite-level numbers — notably the unified miss rate of
 Equation 1 (total misses over total accesses, i.e. weighted by access
 count) and the relative series of Figures 8, 10, 11, 14 and 15.
+
+The management overheads of Equations 2-4 are never accumulated: every
+cost model is linear (:class:`~repro.core.overhead.LinearCost`), so each
+overhead is a closed form over integer counters every engine already
+keeps, priced by the record's :class:`~repro.core.overhead.OverheadModel`
+in :func:`_overheads`.  Engines that agree on the counters therefore
+agree on the overheads exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+from repro.core.overhead import OverheadModel, PAPER_MODEL
 
 
 @dataclass
 class SimulationStats:
-    """Counters and overhead accumulators for one simulation run."""
+    """Counters for one simulation run, priced by ``overhead_model``."""
 
     policy_name: str = ""
     benchmark: str = ""
@@ -30,13 +39,26 @@ class SimulationStats:
     links_removed: int = 0
     links_established_intra: int = 0
     links_established_inter: int = 0
-    miss_overhead: float = 0.0
-    eviction_overhead: float = 0.0
-    unlink_overhead: float = 0.0
     peak_backpointer_bytes: int = 0
     preemptive_flushes: int = 0
+    overhead_model: OverheadModel = PAPER_MODEL
 
     # -- Derived metrics -----------------------------------------------------
+
+    @property
+    def miss_overhead(self) -> float:
+        """Equation 3 summed over every miss."""
+        return _overheads(self, self.overhead_model)[0]
+
+    @property
+    def eviction_overhead(self) -> float:
+        """Equation 2 summed over every eviction invocation."""
+        return _overheads(self, self.overhead_model)[1]
+
+    @property
+    def unlink_overhead(self) -> float:
+        """Equation 4 summed over every unlink operation."""
+        return _overheads(self, self.overhead_model)[2]
 
     @property
     def miss_rate(self) -> float:
@@ -78,10 +100,16 @@ class SimulationStats:
 
     def merged_with(self, other: "SimulationStats") -> "SimulationStats":
         """Return the sum of two stats records (labels kept from ``self``
-        unless empty)."""
+        unless empty).  Both must be priced by the same model."""
+        if self.overhead_model != other.overhead_model:
+            raise ValueError(
+                "cannot merge stats priced by different overhead models: "
+                f"{self.overhead_model} vs {other.overhead_model}"
+            )
         merged = SimulationStats(
             policy_name=self.policy_name or other.policy_name,
             benchmark=self.benchmark or other.benchmark,
+            overhead_model=self.overhead_model,
         )
         for name in _SUMMABLE_FIELDS:
             setattr(merged, name, getattr(self, name) + getattr(other, name))
@@ -125,36 +153,37 @@ _SUMMABLE_FIELDS = (
     "links_removed",
     "links_established_intra",
     "links_established_inter",
-    "miss_overhead",
-    "eviction_overhead",
-    "unlink_overhead",
     "preemptive_flushes",
 )
 
 
-def repriced_overhead(stats: "SimulationStats", model,
+def _overheads(stats: SimulationStats,
+               model: OverheadModel) -> tuple[float, float, float]:
+    """Equations 3, 2 and 4 in closed form: ``(miss, eviction, unlink)``.
+
+    Each equation is ``slope * quantity + intercept`` per event, so its
+    sum over a run is the slope times the summed quantity plus the
+    intercept times the event count.  The unlink quantity is the number
+    of surviving incoming links, whose sum is ``links_removed``.
+    """
+    return (
+        model.miss.slope * stats.inserted_bytes
+        + model.miss.intercept * stats.misses,
+        model.eviction.slope * stats.evicted_bytes
+        + model.eviction.intercept * stats.eviction_invocations,
+        model.unlink.slope * stats.links_removed
+        + model.unlink.intercept * stats.unlink_operations,
+    )
+
+
+def repriced_overhead(stats: SimulationStats, model: OverheadModel,
                       include_links: bool = True) -> float:
     """Re-price a finished run's management overhead under a different
-    :class:`~repro.core.overhead.OverheadModel`.
-
-    Overhead attribution is linear in the counters a run records
-    (misses and inserted bytes, eviction invocations and evicted bytes,
-    unlink operations and links removed), so any run can be re-costed
-    exactly without re-simulating — the basis of the overhead-model
-    sensitivity study.
-    """
-    total = (
-        model.miss.slope * stats.inserted_bytes
-        + model.miss.intercept * stats.misses
-        + model.eviction.slope * stats.evicted_bytes
-        + model.eviction.intercept * stats.eviction_invocations
-    )
-    if include_links:
-        total += (
-            model.unlink.slope * stats.links_removed
-            + model.unlink.intercept * stats.unlink_operations
-        )
-    return total
+    :class:`~repro.core.overhead.OverheadModel`, without re-simulating
+    (the basis of the overhead-model sensitivity study)."""
+    miss, eviction, unlink = _overheads(stats, model)
+    total = miss + eviction
+    return total + unlink if include_links else total
 
 
 def unified_miss_rate(stats: Iterable[SimulationStats]) -> float:

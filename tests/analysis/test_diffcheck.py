@@ -92,12 +92,14 @@ class TestDivergenceDetection:
         assert any("hits" in p for p in problems)
         assert any("misses" in p for p in problems)
 
-    def test_stats_float_tolerance(self):
-        a = SimulationStats(miss_overhead=1000.0)
-        b = SimulationStats(miss_overhead=1000.0 * (1 + 1e-12))
-        assert _diff_stats(a, b) == []
-        c = SimulationStats(miss_overhead=1001.0)
-        assert _diff_stats(a, c)
+    def test_stats_overheads_compared_exactly(self):
+        a = SimulationStats(misses=4, inserted_bytes=900)
+        assert _diff_stats(a, SimulationStats(misses=4,
+                                              inserted_bytes=900)) == []
+        problems = _diff_stats(a, SimulationStats(misses=4,
+                                                  inserted_bytes=901))
+        assert any(p.startswith("inserted_bytes") for p in problems)
+        assert any(p.startswith("miss_overhead") for p in problems)
 
     def test_report_render_shapes(self):
         report = DiffReport(runs=2, accesses_compared=100)

@@ -9,6 +9,12 @@ from repro.core.metrics import (
     relative_series,
     unified_miss_rate,
 )
+from repro.core.overhead import PAPER_MODEL, LinearCost, OverheadModel
+
+#: Small integer coefficients, so every expected overhead is exact.
+_MODEL = OverheadModel(miss=LinearCost(2.0, 10.0),
+                       eviction=LinearCost(1.0, 3.0),
+                       unlink=LinearCost(4.0, 1.0))
 
 
 def _stats(accesses, misses, **kwargs):
@@ -25,10 +31,15 @@ class TestDerivedMetrics:
         assert SimulationStats().miss_rate == 0.0
 
     def test_overhead_views(self):
-        stats = SimulationStats(miss_overhead=10.0, eviction_overhead=5.0,
-                                unlink_overhead=2.0)
-        assert stats.management_overhead == 15.0
-        assert stats.total_overhead == 17.0
+        stats = SimulationStats(misses=1, inserted_bytes=5,
+                                eviction_invocations=2, evicted_bytes=7,
+                                unlink_operations=1, links_removed=3,
+                                overhead_model=_MODEL)
+        assert stats.miss_overhead == 2.0 * 5 + 10.0 * 1
+        assert stats.eviction_overhead == 1.0 * 7 + 3.0 * 2
+        assert stats.unlink_overhead == 4.0 * 3 + 1.0 * 1
+        assert stats.management_overhead == 20.0 + 13.0
+        assert stats.total_overhead == 20.0 + 13.0 + 13.0
 
     def test_inter_unit_fraction(self):
         stats = SimulationStats(links_established_intra=3,
@@ -60,6 +71,23 @@ class TestMerging:
         a = SimulationStats(peak_backpointer_bytes=100)
         b = SimulationStats(peak_backpointer_bytes=300)
         assert a.merged_with(b).peak_backpointer_bytes == 300
+
+    def test_merged_with_keeps_the_model(self):
+        a = SimulationStats(misses=1, inserted_bytes=5,
+                            overhead_model=_MODEL)
+        b = SimulationStats(misses=2, inserted_bytes=6,
+                            overhead_model=_MODEL)
+        merged = a.merged_with(b)
+        assert merged.overhead_model == _MODEL
+        assert merged.miss_overhead == a.miss_overhead + b.miss_overhead
+
+    def test_merged_with_rejects_mismatched_models(self):
+        a = SimulationStats(misses=1, overhead_model=_MODEL)
+        b = SimulationStats(misses=1, overhead_model=PAPER_MODEL)
+        with pytest.raises(ValueError, match="different overhead models"):
+            a.merged_with(b)
+        with pytest.raises(ValueError, match="different overhead models"):
+            merge_all([b, a])
 
     def test_merge_all(self):
         merged = merge_all([_stats(10, 1), _stats(20, 2), _stats(30, 3)])

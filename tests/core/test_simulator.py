@@ -1,7 +1,10 @@
 """Unit tests for the trace-driven code cache simulator."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.metrics import repriced_overhead
 from repro.core.overhead import FREE_MODEL, PAPER_MODEL
 from repro.core.policies import (
     FineGrainedFifoPolicy,
@@ -97,10 +100,16 @@ class TestOverheadCharging:
 
     def test_free_model_charges_nothing(self):
         blocks = _uniform_blocks(6)
-        stats = simulate(blocks, FlushPolicy(), 300, scan_trace(6, 5),
-                         overhead_model=FREE_MODEL)
-        assert stats.total_overhead == 0.0
-        assert stats.misses > 0
+        free = simulate(blocks, FlushPolicy(), 300, scan_trace(6, 5),
+                        overhead_model=FREE_MODEL)
+        paper = simulate(blocks, FlushPolicy(), 300, scan_trace(6, 5))
+        # The model prices the counters; it never changes them.
+        assert free.overhead_model == FREE_MODEL
+        assert free.misses > 0 and free.eviction_invocations > 0
+        assert replace(free, overhead_model=PAPER_MODEL) == paper
+        assert free.total_overhead == 0.0
+        assert paper.total_overhead == repriced_overhead(free, PAPER_MODEL)
+        assert paper.total_overhead > 0
 
     def test_track_links_off_skips_link_accounting(self):
         blocks = SuperblockSet([

@@ -226,6 +226,24 @@ class TestFlushCorruption:
 
         asyncio.run(scenario())
 
+    def test_quarantine_warning_names_the_blob_and_reason(self, tmp_path):
+        async def scenario():
+            service = _service(snapshot_dir=str(tmp_path / "durable"))
+            session = service.open_session("t", block_sizes=[512] * 16)
+            session.submit(list(range(16)))
+            with faults.plan(faults.FaultSpec(point="service.flush",
+                                              mode="corrupt", times=2,
+                                              keys=("t",))):
+                with pytest.warns(RuntimeWarning) as caught:
+                    await session.stats()
+            messages = [str(w.message) for w in caught]
+            assert ("quarantined corrupt flush payload for tenant 't': "
+                    "blob stats-t.corrupt") in messages
+            assert not any("sweep checkpoint" in m for m in messages)
+            await service.drain()
+
+        asyncio.run(scenario())
+
     def test_corruption_on_every_attempt_refuses_to_serve(self):
         async def scenario():
             service = _service()

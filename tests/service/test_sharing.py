@@ -197,6 +197,55 @@ class TestAttribution:
         arena.check_now()
 
 
+class TestOverheadAttribution:
+    """Equation 2's inputs are split across tenants without loss: the
+    owners carry the evicted bytes (largest-remainder splits included)
+    and the inserters carry the invocations, so the per-tenant counters
+    sum to the policy's own eviction events, dedup on and off."""
+
+    @pytest.mark.parametrize("sharing", (True, False))
+    def test_tenant_counters_sum_to_the_physical_evictions(self, sharing):
+        arena = _arena(capacity=16 * 1024, sharing=sharing,
+                       pressure_threshold=0.9, reclaim_fraction=0.7)
+        physical = {"invocations": 0, "bytes": 0}
+        policy = arena.policy
+
+        def recording(method):
+            def record(*args):
+                events = method(*args)
+                physical["invocations"] += len(events)
+                physical["bytes"] += sum(e.bytes_evicted for e in events)
+                return events
+            return record
+
+        policy.insert = recording(policy.insert)
+        policy.evict_blocks = recording(policy.evict_blocks)
+        sizes, digests = _population(24, seed=3, low=200, high=1500)
+        names = ["t0", "t1", "t2"]
+        for name in names:
+            arena.attach(name, sizes,
+                         block_digests=digests if sharing else None)
+        rng = random.Random(11)
+        for _ in range(800):
+            arena.access(rng.choice(names), rng.randrange(24))
+        records = [arena.detach(names[0])]
+        records += [arena.tenant_stats(name) for name in names[1:]]
+
+        assert physical["invocations"] > 0
+        assert (sum(r.evicted_bytes for r in records)
+                == physical["bytes"])
+        assert (sum(r.eviction_invocations for r in records)
+                == physical["invocations"])
+        if sharing:
+            assert arena.to_dict()["sharing_stats"][
+                "shared_policy_evictions"] > 0
+        merged = arena.unified_stats()
+        cost = merged.overhead_model.eviction
+        assert merged.eviction_overhead == (
+            cost.slope * physical["bytes"]
+            + cost.intercept * physical["invocations"])
+
+
 class TestChurn:
     @pytest.mark.parametrize("tenants", (2, 4))
     def test_paranoid_random_churn_stays_conservation_clean(self, tenants):
