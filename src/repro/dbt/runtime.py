@@ -258,12 +258,7 @@ class DBTRuntime:
     def _interpret_block(self, pc: int, interpreter: Interpreter) -> None:
         block = self.cfg.block_at(pc)
         state = interpreter.state
-        executed = 0
-        for _ in range(len(block)):
-            interpreter.step()
-            executed += 1
-            if state.halted:
-                break
+        executed = interpreter.run_steps(len(block))
         bb_cache = self.bb_cache
         if bb_cache is not None and pc in bb_cache:
             bb_cache.charge_execution(executed)
@@ -389,13 +384,8 @@ class DBTRuntime:
             starts = translated.block_starts
             index = 0
             while True:
-                block = self.cfg.block_at(starts[index])
-                executed = 0
-                for _ in range(len(block)):
-                    interpreter.step()
-                    executed += 1
-                    if state.halted:
-                        break
+                executed = interpreter.run_steps(
+                    len(self.cfg.block_at(starts[index])))
                 meter.charge(NATIVE,
                              costs.native_per_instruction * executed)
                 result.native_instructions += executed

@@ -12,8 +12,9 @@ Public surface:
 * :class:`~repro.isa.program.Program` — a laid-out code image.
 * :func:`~repro.isa.assembler.assemble` — text assembler.
 * :class:`~repro.isa.cfg.ControlFlowGraph` — basic-block extraction.
-* :class:`~repro.isa.interpreter.Interpreter` — the reference executor
-  with instruction counting (our stand-in for hardware counters).
+* :class:`~repro.isa.interpreter.Interpreter` — the executor: decodes
+  each program once, runs it through ``run_steps(n)``, and counts
+  instructions (our stand-in for hardware counters).
 """
 
 from repro.isa.instructions import (

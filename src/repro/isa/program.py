@@ -65,6 +65,9 @@ class Program:
         if entry is not None and entry not in self._layout.labels:
             raise ProgramError(f"entry label {entry!r} is not defined")
         self._entry_label = entry
+        #: The interpreter's address -> handler map, built on the first
+        #: run (see :func:`repro.isa.interpreter.decode`).
+        self.decoded = None
 
     def _lay_out(self, label_map: Mapping[str, int]) -> _Layout:
         addresses = []

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble
 from repro.isa.interpreter import ExecutionLimitExceeded, Interpreter
+from repro.isa.program import ProgramError
 
 
 def _run(source, entry=None, max_instructions=100_000):
@@ -150,6 +151,37 @@ class TestExecutionControl:
         executed = interpreter.run_block(stop)
         assert executed == 1
         assert interpreter.state.pc == program.resolve("mid")
+
+
+_ADVANCES = {
+    "run": lambda interpreter: interpreter.run(),
+    "run_steps": lambda interpreter: interpreter.run_steps(10),
+    "step": lambda interpreter: [interpreter.step() for _ in range(4)],
+    "run_block": lambda interpreter: interpreter.run_block({8}),
+}
+
+
+class TestFaultPath:
+    """A jump into the middle of an instruction raises ``ProgramError``
+    when the next instruction is fetched.  The jump itself has executed:
+    it is counted, and the pc holds the bad address."""
+
+    @pytest.mark.parametrize("advance", sorted(_ADVANCES))
+    @pytest.mark.parametrize("target, pc", [(3, 3), (-1, (1 << 64) - 1)])
+    def test_jmpr_off_an_instruction_start(self, target, pc, advance):
+        # movi at 0 (5 bytes), nop at 5, jmpr at 6, halt at 8.
+        program = assemble(f"movi r1, {target}\nnop\njmpr r1\nhalt")
+        interpreter = Interpreter(program)
+        with pytest.raises(ProgramError):
+            _ADVANCES[advance](interpreter)
+        assert interpreter.state.pc == pc
+        assert interpreter.instruction_count == 3
+        assert not interpreter.state.halted
+        # The fault is sticky: the next attempt fails the same way.
+        with pytest.raises(ProgramError):
+            interpreter.step()
+        assert interpreter.state.pc == pc
+        assert interpreter.instruction_count == 3
 
 
 class TestPropertyBased:
