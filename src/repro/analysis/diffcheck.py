@@ -12,6 +12,10 @@ ladder, and diffs them at two grains:
 * **final stats** — every counter and every Equation 2-4 overhead must
   match exactly (the overheads are closed forms over the counters, so
   equal counters give equal overheads).
+* **unobserved replay** — each cell is replayed once more with no
+  observer and links untracked, the way Figures 6-11 replay, so the
+  simulator's batched fast loop is diffed too.  Links never change
+  residency, so its residency counters must equal the reference run's.
 
 A clean diff means the fast implementation and the obviously-correct
 one agree access for access on every rung — the strongest correctness
@@ -51,6 +55,13 @@ _COMPARED_FIELDS = (
     "links_established_intra", "links_established_inter",
     "peak_backpointer_bytes", "preemptive_flushes",
     "miss_overhead", "eviction_overhead", "unlink_overhead",
+)
+
+#: What an unobserved, link-untracked replay must still agree on.
+_RESIDENCY_FIELDS = (
+    "accesses", "hits", "misses", "inserted_bytes",
+    "eviction_invocations", "evicted_blocks", "evicted_bytes",
+    "preemptive_flushes",
 )
 
 
@@ -142,10 +153,10 @@ def _diff_outcomes(optimized: list[AccessOutcome],
     return None
 
 
-def _diff_stats(optimized: SimulationStats,
-                reference: SimulationStats) -> list[str]:
+def _diff_stats(optimized: SimulationStats, reference: SimulationStats,
+                fields: tuple[str, ...] = _COMPARED_FIELDS) -> list[str]:
     problems = []
-    for name in _COMPARED_FIELDS:
+    for name in fields:
         a, b = getattr(optimized, name), getattr(reference, name)
         if a != b:
             problems.append(f"{name}: {a!r} vs {b!r}")
@@ -210,19 +221,23 @@ def diff_check(
                     outcomes.append(AccessOutcome(
                         index, sid, hit, evictions, links_removed))
 
+                context = {"benchmark": benchmark, "scale": scale,
+                           "pressure": pressure, "seed": spec.seed}
                 simulator = CodeCacheSimulator(
                     superblocks, factory(), capacity,
                     overhead_model=overhead_model,
                     track_links=track_links,
                     check_level=check_level,
-                    check_context={"benchmark": benchmark,
-                                   "scale": scale,
-                                   "pressure": pressure,
-                                   "seed": spec.seed},
+                    check_context=context,
                 )
                 opt_stats = simulator.process(trace, benchmark=benchmark,
                                               observer=observe)
                 opt_stats.policy_name = name
+                fast_stats = CodeCacheSimulator(
+                    superblocks, factory(), capacity,
+                    overhead_model=overhead_model, track_links=False,
+                    check_level=check_level, check_context=context,
+                ).process(trace, benchmark=benchmark)
                 ref_run = build(superblocks, capacity,
                                 model=overhead_model,
                                 track_links=track_links)
@@ -237,6 +252,11 @@ def diff_check(
                 for problem in _diff_stats(opt_stats, ref_result.stats):
                     report.mismatches.append(DiffMismatch(
                         benchmark, name, pressure, "stats", problem))
+                for problem in _diff_stats(fast_stats, ref_result.stats,
+                                           _RESIDENCY_FIELDS):
+                    report.mismatches.append(DiffMismatch(
+                        benchmark, name, pressure, "stats",
+                        f"unobserved replay: {problem}"))
             if progress is not None:
                 progress(f"diffed {benchmark} @ pressure {pressure:g}")
     return report

@@ -12,7 +12,7 @@ prices those counters with the overhead model.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.cache import ConfigurationError
 from repro.core.invariants import InvariantChecker, resolve_check_level
@@ -86,18 +86,33 @@ class CodeCacheSimulator:
         self.links = LinkManager(superblocks, policy) if track_links else None
         level = resolve_check_level(check_level)
         self.check_level = level
-        self.checker = None if level == "off" else InvariantChecker(
+        self.checker = checker = None if level == "off" else InvariantChecker(
             policy, superblocks, capacity_bytes, links=self.links,
             level=level, context=check_context,
         )
-        #: Cadence countdown for the streaming :meth:`step` entry point.
-        self._step_until_check = (
-            self.checker.cadence if self.checker is not None else 0
+        #: Cadence countdown for :meth:`step`; restarts at each process.
+        self._step_until_check = checker.cadence if checker is not None else 0
+        #: Insertion order only matters to the paranoid FIFO check.
+        self._note_insert = (checker.note_insert
+                             if level == "paranoid" else None)
+        #: Bound once: the arena's ``_ArenaBlocks.sizes()`` is its live
+        #: dict, so tenants attached later are still seen.
+        self._sizes = superblocks.sizes()
+        #: Policies that don't watch accesses skip the hook entirely.
+        self._watches_accesses = (
+            type(policy).on_access is not EvictionPolicy.on_access
         )
 
     def process(self, trace: Iterable[int], benchmark: str = "",
                 observer: AccessObserver | None = None) -> SimulationStats:
-        """Replay *trace* (an iterable of superblock ids); return stats."""
+        """Replay *trace* (an iterable of superblock ids); return stats.
+
+        With no observer, links or access-watching policy and checking
+        ``off`` or ``light``, this is :meth:`_replay_fast` (at ``light``
+        in cadence-sized chunks, checked in between).  Otherwise it
+        loops over :meth:`step`, bare unless an observer wants outcomes.
+        A checked trace always ends with a full pass.
+        """
         stats = SimulationStats(policy_name=self.policy.name,
                                 benchmark=benchmark,
                                 overhead_model=self.overhead_model)
@@ -105,73 +120,61 @@ class CodeCacheSimulator:
             # Plain ints hash measurably faster than numpy scalars in
             # the dict lookups that dominate the hot loop.
             trace = trace.tolist()
-        policy = self.policy
+        checker = self.checker
         links = self.links
-        sizes = self.superblocks.sizes()
-        contains = policy.contains
-        # Policies that don't watch accesses skip the hook entirely; this
-        # keeps the hot loop at two calls per hit.
-        watches_accesses = (
-            type(policy).on_access is not EvictionPolicy.on_access
-        )
-
-        if self.checker is not None or observer is not None:
-            if self.checker is not None and benchmark:
-                self.checker.context.setdefault("benchmark", benchmark)
-            if (observer is None and self.checker is not None
-                    and self.checker.level == "light"
-                    and not watches_accesses and links is None):
-                self._process_light_batched(trace, stats)
-            else:
-                self._process_checked(trace, stats, watches_accesses,
-                                      observer)
-        elif not watches_accesses and links is None:
-            self._process_batched(trace, stats)
-        else:
-            insert = policy.insert
-            for sid in trace:
-                stats.accesses += 1
-                if watches_accesses:
-                    hinted = contains(sid)
-                    preemptive = policy.on_access(sid, hinted)
-                    if preemptive:
-                        stats.preemptive_flushes += len(preemptive)
-                        self._account_evictions(preemptive, stats)
-                        # The hook evicted blocks (e.g. a preemptive
-                        # flush), so the pre-hook residency probe is
-                        # stale for this access only.
-                        hit = contains(sid)
-                    else:
-                        hit = hinted
-                else:
-                    hit = contains(sid)
-                if hit:
-                    stats.hits += 1
-                    continue
-                stats.misses += 1
-                size = sizes[sid]
-                stats.inserted_bytes += size
-                events = insert(sid, size)
-                if events:
-                    self._account_evictions(events, stats)
-                if links is not None:
-                    links.on_insert(sid)
-
         if links is not None:
-            stats.links_established_intra = links.established_intra
-            stats.links_established_inter = links.established_inter
+            intra0, inter0 = links.established_intra, links.established_inter
+        if checker is not None:
+            if benchmark:
+                checker.context.setdefault("benchmark", benchmark)
+            self._step_until_check = checker.cadence
+        if (observer is None and links is None
+                and not self._watches_accesses
+                and (checker is None or checker.level == "light")):
+            if checker is None:
+                self._replay_fast(trace, stats)
+            else:
+                if not isinstance(trace, list):
+                    trace = list(trace)
+                cadence = checker.cadence
+                for start in range(0, len(trace), cadence):
+                    chunk = trace[start:start + cadence]
+                    self._replay_fast(chunk, stats)
+                    checker.run_checks(stats,
+                                       access_index=start + len(chunk))
+        elif observer is None:
+            step = self.step
+            for sid in trace:
+                step(sid, stats)
+        else:
+            step = self.step
+            for index, sid in enumerate(trace, 1):
+                removed_before = stats.links_removed
+                hit, events = step(sid, stats)
+                observer(index, sid, hit,
+                         tuple(event.blocks for event in events),
+                         stats.links_removed - removed_before)
+        if checker is not None:
+            checker.run_checks(stats, access_index=stats.accesses)
+        if links is not None:
+            # This call's share, so that per-window calls (see
+            # repro.analysis.timeline) sum to the one-shot totals.
+            stats.links_established_intra = links.established_intra - intra0
+            stats.links_established_inter = links.established_inter - inter0
             stats.peak_backpointer_bytes = links.peak_backpointer_bytes
         return stats
 
     def step(self, sid: int, stats: SimulationStats,
-             on_evictions=None, before_insert=None) -> tuple[bool, list]:
+             on_evictions=None, before_insert=None) -> tuple[bool, Sequence]:
         """Process a single access, accumulating into *stats*.
 
-        This is the streaming entry point the multi-tenant service
-        (:mod:`repro.service`) builds on: each tenant owns its own
-        :class:`SimulationStats` record and the caller decides which one
-        each access is charged to.  Returns ``(hit, events)`` where
-        *events* are the eviction invocations the insertion triggered.
+        The one instrumented definition of an access: :meth:`process`
+        loops over it whenever it cannot use :meth:`_replay_fast`, and
+        the multi-tenant service (:mod:`repro.service`) calls it once
+        per access, each tenant owning its own :class:`SimulationStats`
+        record.  Returns ``(hit, events)`` where *events* are all the
+        eviction invocations this access triggered: a preemptive flush
+        from ``on_access`` first, then the insertion's.
 
         Parameters
         ----------
@@ -186,47 +189,46 @@ class CodeCacheSimulator:
             tenancy quota reclaim frees the tenant's own space so the
             shared policy does not have to evict other tenants' blocks.
 
-        The checker (when enabled) observes insertions and runs at its
-        cadence against *stats*; callers that split stats across tenants
-        should construct the simulator with ``check_level='off'`` and
-        drive an external checker against merged stats instead.
+        The checker (when enabled) runs at its cadence against *stats*,
+        and at ``paranoid`` records insertion order; callers that split
+        stats across tenants should construct the simulator with
+        ``check_level='off'`` and drive an external checker against
+        merged stats instead.
         """
         policy = self.policy
         stats.accesses += 1
-        if type(policy).on_access is not EvictionPolicy.on_access:
+        events = ()
+        if self._watches_accesses:
             hinted = policy.contains(sid)
             preemptive = policy.on_access(sid, hinted)
             if preemptive:
                 stats.preemptive_flushes += len(preemptive)
-                if on_evictions is None:
-                    self._account_evictions(preemptive, stats)
-                else:
-                    on_evictions(preemptive, stats)
+                (on_evictions or self._account_evictions)(preemptive, stats)
+                events = preemptive
+                # The hook evicted blocks (e.g. a preemptive flush), so
+                # the pre-hook residency probe is stale for this access.
                 hit = policy.contains(sid)
             else:
                 hit = hinted
         else:
             hit = policy.contains(sid)
-        checker = self.checker
         if hit:
             stats.hits += 1
-            events: list = []
         else:
             stats.misses += 1
-            size = self.superblocks.sizes()[sid]
+            size = self._sizes[sid]
             if before_insert is not None:
                 before_insert(sid, size)
             stats.inserted_bytes += size
-            events = policy.insert(sid, size)
-            if events:
-                if on_evictions is None:
-                    self._account_evictions(events, stats)
-                else:
-                    on_evictions(events, stats)
-            if checker is not None:
-                checker.note_insert(sid)
+            inserted = policy.insert(sid, size)
+            if inserted:
+                (on_evictions or self._account_evictions)(inserted, stats)
+                events = [*events, *inserted] if events else inserted
+            if self._note_insert is not None:
+                self._note_insert(sid)
             if self.links is not None:
                 self.links.on_insert(sid)
+        checker = self.checker
         if checker is not None:
             self._step_until_check -= 1
             if self._step_until_check <= 0:
@@ -235,140 +237,16 @@ class CodeCacheSimulator:
                                    sid=sid)
         return hit, events
 
-    def _process_checked(self, trace, stats: SimulationStats,
-                         watches_accesses: bool,
-                         observer: AccessObserver | None) -> None:
-        """Instrumented path: invariant checking and/or per-access
-        observation.  Never taken when ``check_level`` is ``off`` and no
-        observer is passed, so the production loops stay untouched.
-        """
-        policy = self.policy
-        links = self.links
-        sizes = self.superblocks.sizes()
-        contains = policy.contains
-        insert = policy.insert
-        checker = self.checker
-        cadence = checker.cadence if checker is not None else 0
-        until_check = cadence
-        index = 0
-        if observer is None:
-            # No per-access outcomes to collect: same loop as the
-            # production slow path plus the cadence countdown, with no
-            # event-list allocation.  Insertion order only matters to
-            # the paranoid FIFO check, so light skips ``note_insert``.
-            note_insert = (checker.note_insert
-                           if checker.level == "paranoid" else None)
-            for sid in trace:
-                index += 1
-                stats.accesses += 1
-                if watches_accesses:
-                    hinted = contains(sid)
-                    preemptive = policy.on_access(sid, hinted)
-                    if preemptive:
-                        stats.preemptive_flushes += len(preemptive)
-                        self._account_evictions(preemptive, stats)
-                        hit = contains(sid)
-                    else:
-                        hit = hinted
-                else:
-                    hit = contains(sid)
-                if hit:
-                    stats.hits += 1
-                else:
-                    stats.misses += 1
-                    size = sizes[sid]
-                    stats.inserted_bytes += size
-                    inserted = insert(sid, size)
-                    if inserted:
-                        self._account_evictions(inserted, stats)
-                    if note_insert is not None:
-                        note_insert(sid)
-                    if links is not None:
-                        links.on_insert(sid)
-                until_check -= 1
-                if until_check <= 0:
-                    until_check = cadence
-                    checker.run_checks(stats, access_index=index, sid=sid)
-            checker.run_checks(stats, access_index=index)
-            return
-        for sid in trace:
-            index += 1
-            stats.accesses += 1
-            removed_before = stats.links_removed
-            events: list = []
-            if watches_accesses:
-                hinted = contains(sid)
-                preemptive = policy.on_access(sid, hinted)
-                if preemptive:
-                    stats.preemptive_flushes += len(preemptive)
-                    self._account_evictions(preemptive, stats)
-                    events.extend(preemptive)
-                    # The hook evicted blocks, so the pre-hook residency
-                    # probe is stale for this access only.
-                    hit = contains(sid)
-                else:
-                    hit = hinted
-            else:
-                hit = contains(sid)
-            if hit:
-                stats.hits += 1
-            else:
-                stats.misses += 1
-                size = sizes[sid]
-                stats.inserted_bytes += size
-                inserted = insert(sid, size)
-                if inserted:
-                    self._account_evictions(inserted, stats)
-                    events.extend(inserted)
-                if checker is not None:
-                    checker.note_insert(sid)
-                if links is not None:
-                    links.on_insert(sid)
-            if observer is not None:
-                observer(index, sid, hit,
-                         tuple(event.blocks for event in events),
-                         stats.links_removed - removed_before)
-            if checker is not None:
-                until_check -= 1
-                if until_check <= 0:
-                    until_check = cadence
-                    checker.run_checks(stats, access_index=index, sid=sid)
-        if checker is not None:
-            # A trace always ends with a full pass, whatever the cadence.
-            checker.run_checks(stats, access_index=index)
-
-    def _process_light_batched(self, trace, stats: SimulationStats) -> None:
-        """Light checking on top of the batched fast path.
-
-        ``light`` only runs the conservation checks (occupancy and
-        metrics), neither of which needs per-access state, so the trace
-        can be replayed in cadence-sized chunks through
-        :meth:`_process_batched` with a check pass between chunks.  Only
-        taken when no observer is attached, the policy doesn't watch
-        accesses, and links are untracked — the exact conditions under
-        which the unchecked run would have used the batched path, which
-        keeps light-mode overhead to the checks themselves.
-        """
-        checker = self.checker
-        if not isinstance(trace, list):
-            trace = list(trace)
-        cadence = checker.cadence
-        for start in range(0, len(trace), cadence):
-            chunk = trace[start:start + cadence]
-            self._process_batched(chunk, stats)
-            checker.run_checks(stats, access_index=start + len(chunk))
-        # A trace always ends with a full pass, whatever the cadence.
-        checker.run_checks(stats, access_index=len(trace))
-
-    def _process_batched(self, trace, stats: SimulationStats) -> None:
-        """Fast path for the common no-links, non-watching-policy case.
+    def _replay_fast(self, trace, stats: SimulationStats) -> None:
+        """The production loop: no links, no access-watching policy, no
+        per-access instrumentation.
 
         Accumulates into locals and writes the stats record once at the
         end, keeping the hot loop to two method calls per hit and free
         of attribute stores.
         """
         policy = self.policy
-        sizes = self.superblocks.sizes()
+        sizes = self._sizes
         contains = policy.contains
         insert = policy.insert
         accesses = hits = misses = 0

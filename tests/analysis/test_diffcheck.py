@@ -14,6 +14,7 @@ from repro.analysis.diffcheck import (
 from repro.core.cache import ConfigurationError
 from repro.core.metrics import SimulationStats
 from repro.core.refmodel import AccessOutcome
+from repro.core.simulator import CodeCacheSimulator
 
 
 class TestDiffCheck:
@@ -32,6 +33,27 @@ class TestDiffCheck:
                             check_level="paranoid")
         assert report.ok, report.render()
         assert report.runs == 3
+
+    def test_fast_loop_divergence_reported(self, monkeypatch):
+        # The oracle's per-access diff runs with an observer, so only the
+        # unobserved replay reaches the batched fast loop; a loop that
+        # loses one eviction must still be caught there.
+        original = CodeCacheSimulator._replay_fast
+
+        def drops_an_eviction(self, trace, stats):
+            original(self, trace, stats)
+            if stats.eviction_invocations:
+                stats.eviction_invocations -= 1
+
+        monkeypatch.setattr(CodeCacheSimulator, "_replay_fast",
+                            drops_an_eviction)
+        report = diff_check(benchmarks=("gzip",), scale=0.15,
+                            trace_accesses=800, pressures=(4.0,),
+                            unit_counts=(1, 8), include_fine=True)
+        assert not report.ok
+        assert all(m.kind == "stats" for m in report.mismatches)
+        assert any("unobserved replay: eviction_invocations" in m.detail
+                   for m in report.mismatches), report.render()
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown benchmark"):

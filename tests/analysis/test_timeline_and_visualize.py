@@ -1,5 +1,8 @@
 """Unit tests for windowed simulation and terminal visualization."""
 
+import random
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,21 @@ class TestRecordTimeline:
         assert timeline.totals.eviction_invocations == (
             plain.eviction_invocations
         )
+
+    def test_totals_equal_a_one_shot_run_with_links(self):
+        # Each window's process() call reports only its own established
+        # links, so the summed windows equal one uninterrupted run.
+        rng = random.Random(7)
+        blocks = SuperblockSet([
+            Superblock(sid, 100, links=tuple(rng.sample(range(40), 3)))
+            for sid in range(40)
+        ])
+        trace = [rng.randrange(40) for _ in range(6000)]
+        timeline = record_timeline(blocks, UnitFifoPolicy(4), 1600, trace,
+                                   window=1000)
+        plain = simulate(blocks, UnitFifoPolicy(4), 1600, trace)
+        assert plain.links_established > 0
+        assert asdict(timeline.totals) == asdict(plain)
 
     def test_first_window_has_the_cold_misses(self, workload):
         blocks = workload.superblocks

@@ -1,19 +1,27 @@
 """Unit tests for the trace-driven code cache simulator."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
-from repro.core.metrics import repriced_overhead
+from repro.core.adaptive import AdaptiveUnitPolicy
+from repro.core.lru import LruPolicy
+from repro.core.metrics import SimulationStats, repriced_overhead
 from repro.core.overhead import FREE_MODEL, PAPER_MODEL
+from repro.core.placement import LinkAwarePlacementPolicy
 from repro.core.policies import (
     FineGrainedFifoPolicy,
     FlushPolicy,
+    GenerationalPolicy,
     PreemptiveFlushPolicy,
     UnitFifoPolicy,
 )
+from repro.core.pressure import pressured_capacity
 from repro.core.simulator import CodeCacheSimulator, simulate
 from repro.core.superblock import Superblock, SuperblockSet
+from repro.search.expr import Binary, Feature, Unary
+from repro.search.priority import PriorityFunctionPolicy
+from repro.workloads.registry import build_workload, get_benchmark
 from repro.workloads.traces import loop_trace, scan_trace
 
 
@@ -170,3 +178,127 @@ class TestSimulatorConstruction:
         second = simulator.process([0, 1, 2, 3])
         assert first.misses == 4
         assert second.misses == 0  # still resident from the first pass
+
+
+#: One factory per kind of access loop the simulator has to get right:
+#: FIFO ladder rungs (fast loop), access-watching policies (PREEMPT,
+#: GEN, ADAPT, LRU, priority) and link-aware placement.
+_LOOP_POLICIES = {
+    "FLUSH": lambda blocks: FlushPolicy(),
+    "8-unit": lambda blocks: UnitFifoPolicy(8),
+    "FINE": lambda blocks: FineGrainedFifoPolicy(),
+    "PREEMPT": lambda blocks: PreemptiveFlushPolicy(
+        warmup_accesses=50, cooldown_accesses=50,
+        fast_alpha=0.2, slow_alpha=0.01),
+    "GEN": lambda blocks: GenerationalPolicy(),
+    "ADAPT": lambda blocks: AdaptiveUnitPolicy(epoch_accesses=300),
+    "LRU": lambda blocks: LruPolicy(),
+    "PLACE": lambda blocks: LinkAwarePlacementPolicy(blocks, 8),
+    "PRIORITY": lambda blocks: PriorityFunctionPolicy(
+        Binary("sub", Feature("hotness"), Unary("log1p", Feature("age"))),
+        blocks),
+}
+
+#: The counters :meth:`CodeCacheSimulator.step` accumulates itself (the
+#: link totals are filled in by ``process`` from the link manager).
+_STEP_COUNTERS = (
+    "accesses", "hits", "misses", "inserted_bytes",
+    "eviction_invocations", "evicted_blocks", "evicted_bytes",
+    "unlink_operations", "links_removed", "preemptive_flushes",
+)
+
+
+@pytest.fixture(scope="module")
+def loop_workload():
+    return build_workload(get_benchmark("gzip"), scale=0.2,
+                          trace_accesses=1500)
+
+
+class TestAccessLoopsAgree:
+    """The fast loop, the chunked light loop and the ``step`` loop (with
+    and without an observer, checked or not) are one semantics."""
+
+    def _simulator(self, workload, name, track_links, check_level):
+        blocks = workload.superblocks
+        simulator = CodeCacheSimulator(
+            blocks, _LOOP_POLICIES[name](blocks),
+            pressured_capacity(blocks, 4.0),
+            track_links=track_links, check_level=check_level)
+        if simulator.checker is not None:
+            # Several check passes (and light chunks) within the trace.
+            simulator.checker.cadence = 400
+        return simulator
+
+    def _run(self, workload, name, track_links, check_level,
+             observer=None):
+        simulator = self._simulator(workload, name, track_links,
+                                    check_level)
+        return simulator.process(workload.trace, benchmark="gzip",
+                                 observer=observer)
+
+    @pytest.mark.parametrize("name", sorted(_LOOP_POLICIES))
+    @pytest.mark.parametrize("track_links", (False, True))
+    def test_every_path_gives_the_same_stats(self, loop_workload, name,
+                                             track_links):
+        want = asdict(self._run(loop_workload, name, track_links, "off"))
+        assert want["accesses"] == len(loop_workload.trace)
+        assert want["eviction_invocations"] > 0
+        for check_level in ("off", "light", "paranoid"):
+            for observe in (False, True):
+                seen = []
+                got = self._run(
+                    loop_workload, name, track_links, check_level,
+                    observer=(lambda *outcome: seen.append(outcome))
+                    if observe else None)
+                assert asdict(got) == want, (check_level, observe)
+                if observe:
+                    assert len(seen) == want["accesses"]
+
+    @pytest.mark.parametrize("name", sorted(_LOOP_POLICIES))
+    @pytest.mark.parametrize("track_links", (False, True))
+    def test_manual_step_loop_matches_process(self, loop_workload, name,
+                                              track_links):
+        observed = []
+        want = self._run(
+            loop_workload, name, track_links, "off",
+            observer=lambda index, sid, hit, evictions, removed:
+                observed.append((hit, evictions)))
+        simulator = self._simulator(loop_workload, name, track_links, "off")
+        stats = SimulationStats(policy_name=want.policy_name)
+        stepped = []
+        for sid in loop_workload.trace.tolist():
+            hit, events = simulator.step(sid, stats)
+            stepped.append((hit, tuple(event.blocks for event in events)))
+        assert stepped == observed
+        for field in _STEP_COUNTERS:
+            assert getattr(stats, field) == getattr(want, field), field
+        links = simulator.links
+        if links is not None:
+            assert links.established_intra == want.links_established_intra
+            assert links.established_inter == want.links_established_inter
+
+    def test_flush_of_the_accessed_block_makes_a_miss(self):
+        # The hook's eviction makes the pre-hook residency probe stale:
+        # the access must re-probe, miss and re-insert, on every path.
+        class FlushOnZero(FlushPolicy):
+            def on_access(self, sid, hit):
+                event = self._cache.flush() if sid == 0 else None
+                return [event] if event is not None else []
+
+        blocks = _uniform_blocks(3)
+        trace = [0, 1, 0, 2, 2]
+        for check_level in ("off", "paranoid"):
+            seen = []
+            stats = CodeCacheSimulator(
+                blocks, FlushOnZero(), 300, check_level=check_level,
+            ).process(trace, observer=lambda *outcome: seen.append(outcome))
+            assert [hit for _, _, hit, _, _ in seen] == [
+                False, False, False, False, True]
+            assert seen[2][3] == ((0, 1),)
+            assert (stats.misses, stats.preemptive_flushes) == (4, 1)
+            assert stats.eviction_invocations == 1
+
+    def test_preempt_flushes_within_the_trace(self, loop_workload):
+        # Keeps the PREEMPT rows above from passing vacuously.
+        assert self._run(loop_workload, "PREEMPT", True,
+                         "off").preemptive_flushes > 0
