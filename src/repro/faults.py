@@ -62,7 +62,8 @@ at its next check boundary, which the checker must then detect — the
 sanitizer's built-in self-test.
 
 Tests arm a plan with :func:`arm` (or the :func:`plan` context manager)
-and the production code reports into :func:`fire`.
+and the production code reports into :func:`fire`, or, from a task on
+an event loop, into :func:`fire_async`.
 """
 
 from __future__ import annotations
@@ -286,20 +287,53 @@ def fire(point: str, key: str | None = None,
     current = _PLAN if _ENV_SCANNED else active_plan()
     if current is None:
         return data
+    hang, data, error = _match(current, point, key, attempt, data)
+    if hang:
+        time.sleep(hang)
+    if error is not None:
+        raise error
+    return data
+
+
+async def fire_async(point: str, key: str | None = None,
+                     data: bytes | None = None):
+    """:func:`fire` for a task on an event loop: the same plan, call
+    counter and outcome, but a ``hang`` awaits ``asyncio.sleep``, so it
+    stalls only the awaiting task, not the loop."""
+    current = _PLAN if _ENV_SCANNED else active_plan()
+    if current is None:
+        return data
+    hang, data, error = _match(current, point, key, None, data)
+    if hang:
+        import asyncio  # already loaded: the caller is on an event loop
+
+        await asyncio.sleep(hang)
+    if error is not None:
+        raise error
+    return data
+
+
+def _match(current: FaultPlan, point: str, key: str | None,
+           attempt: int | None, data: bytes | None):
+    """Number this call and apply the plan's specs in order: returns
+    ``(hang_seconds, data, error)`` — the hangs before the first
+    ``raise``, *data* after any ``corrupt``, and the fault to raise once
+    the hang is served (or ``None``)."""
     index = attempt
     if index is None:
         index = _CALLS.get((point, key), 0) + 1
         _CALLS[(point, key)] = index
+    hang = 0.0
     for spec in current.specs:
         if not spec.matches(point, key) or index > spec.times:
             continue
         if spec.mode == "raise":
-            raise InjectedFault(point, key, index)
+            return hang, data, InjectedFault(point, key, index)
         if spec.mode == "hang":
-            time.sleep(spec.hang_seconds)
+            hang += spec.hang_seconds
         elif spec.mode == "corrupt" and data is not None:
             data = corrupt_bytes(data, seed=spec.seed, key=key, index=index)
-    return data
+    return hang, data, None
 
 
 def corrupt_bytes(data: bytes, seed: int = 0,

@@ -103,8 +103,8 @@ def fingerprint_digest(fingerprint: dict | None) -> str | None:
 class ArenaPersister:
     """One worker's durable spine: a snapshot blob plus a WAL file.
 
-    Thread-safety: every mutating entry point is called by the arena
-    while it holds its own lock, so the persister needs none of its own.
+    Not thread-safe: only the arena calls it, and the arena has one
+    owner (the service's event loop), so it needs no lock of its own.
     """
 
     def __init__(self, root: str | Path,

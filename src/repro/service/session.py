@@ -4,10 +4,12 @@ A :class:`Session` sits between the protocol layer and the
 :class:`~repro.service.tenancy.SharedArena`.  Access batches land in a
 *bounded* queue (the backpressure boundary: a full queue rejects the
 batch with a retry hint instead of buffering without limit) and a
-consumer task drains them through the arena in a worker thread, so the
-event loop never blocks on simulation work or on the arena lock — and
-so an injected ``hang`` at the ``service.session`` fault point stalls
-only this tenant's consumer, not the server.
+consumer task drains them through the arena inline, on the loop
+thread.  The event loop is the arena's one owner (the arena is not
+thread-safe).  The consumer yields after every batch, so one tenant's
+backlog cannot hold the loop, and it awaits its fault points
+(:func:`repro.faults.fire_async`), so an injected ``hang`` at
+``service.session`` or ``service.flush`` stalls only this tenant.
 
 Failure is contained by construction: any exception in the consumer —
 including :class:`~repro.faults.InjectedFault` — marks the session
@@ -20,6 +22,7 @@ queue.  Other tenants' sessions never observe anything.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import json
 
@@ -104,18 +107,16 @@ class Session:
     async def flush(self) -> None:
         """Wait until every queued batch has been simulated (or the
         session failed trying)."""
-        await asyncio.to_thread(
-            faults.fire, "service.flush", self.tenant
-        )
+        await faults.fire_async("service.flush", self.tenant)
         await self._queue.join()
         self._require_open()
 
     async def stats(self) -> dict:
         """Flush, then snapshot this tenant's stats record."""
         await self.flush()
-        return self._verified_stats(self.arena.tenant_stats(self.tenant))
+        return await self._verified_stats(self.arena.tenant_stats(self.tenant))
 
-    def _verified_stats(self, record) -> dict:
+    async def _verified_stats(self, record) -> dict:
         """Serialize *record* through the ``service.flush`` fault point
         with an integrity check: a ``corrupt``-mode fault damaging the
         payload is detected by digest comparison, the damaged bytes are
@@ -127,8 +128,8 @@ class Session:
             fields = record.to_dict()
             payload = json.dumps(fields, sort_keys=True).encode("utf-8")
             digest = hashlib.sha256(payload).hexdigest()
-            stamped = faults.fire("service.flush", key=self.tenant,
-                                  data=payload)
+            stamped = await faults.fire_async("service.flush", self.tenant,
+                                              data=payload)
             if hashlib.sha256(stamped).hexdigest() == digest:
                 return fields
             self.stats_quarantined += 1
@@ -158,26 +159,16 @@ class Session:
         await self._queue.join()
         if self.failure is not None:  # the last batch may have failed
             self._require_open()
-        if self._consumer is not None:
-            self._consumer.cancel()
-            try:
-                await self._consumer
-            except asyncio.CancelledError:
-                pass
+        await self._stop_consumer()
         self._final_stats = self._detach()
         self.state = CLOSED
-        return self._verified_stats(self._final_stats)
+        return await self._verified_stats(self._final_stats)
 
     async def abort(self) -> None:
         """Tear the session down without flushing (connection lost)."""
         if self.state == CLOSED:
             return
-        if self._consumer is not None:
-            self._consumer.cancel()
-            try:
-                await self._consumer
-            except asyncio.CancelledError:
-                pass
+        await self._stop_consumer()
         if self.state != FAILED:
             self._final_stats = self._detach()
             self.state = CLOSED
@@ -193,15 +184,16 @@ class Session:
         """
         if self.state in (CLOSED, PARKED):
             return
-        if self._consumer is not None:
-            self._consumer.cancel()
-            try:
-                await self._consumer
-            except asyncio.CancelledError:
-                pass
+        await self._stop_consumer()
         self._drain_pending()
         if self.state != FAILED:
             self.state = PARKED
+
+    async def _stop_consumer(self) -> None:
+        if self._consumer is not None:
+            self._consumer.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self._consumer
 
     def _require_open(self) -> None:
         if self.state == FAILED:
@@ -218,16 +210,12 @@ class Session:
 
     # -- The consumer side --------------------------------------------------
 
-    def _apply(self, batch: list[int], seq: int | None) -> int:
-        """Run in a worker thread: fire the fault point, then simulate."""
-        faults.fire("service.session", key=self.tenant)
-        return self.arena.access_many(self.tenant, batch, tseq=seq)
-
     async def _consume(self) -> None:
         while True:
             batch, seq = await self._queue.get()
             try:
-                hits = await asyncio.to_thread(self._apply, batch, seq)
+                await faults.fire_async("service.session", key=self.tenant)
+                hits = self.arena.access_many(self.tenant, batch, tseq=seq)
             except asyncio.CancelledError:
                 self._queue.task_done()
                 raise
@@ -240,6 +228,10 @@ class Session:
             self.accesses_applied += len(batch)
             self.batches_applied += 1
             self._queue.task_done()
+            # Queue.get() on a non-empty queue does not yield: without
+            # this, one tenant's backlog would hold the loop until its
+            # whole queue is simulated.
+            await asyncio.sleep(0)
 
     def _fail(self, error: Exception) -> None:
         self.state = FAILED

@@ -40,16 +40,16 @@ capacity) and serves every tenant from it:
   conservation stays exact under the paranoid invariant checker while
   each tenant's stats reflect only its fair share.
 
-The arena serializes all mutation behind one lock: the simulator, the
-policies and the caches underneath are single-threaded by design (the
-thread-safety audit in DESIGN.md), and the arena is the one place the
-service touches them from.
+The arena has one owner and is not thread-safe.  The simulator, the
+policies and the caches underneath are single-threaded by design, and
+the arena adds no lock over them: in the service, the asyncio event
+loop is the only caller (sessions call it inline, on the loop thread),
+so every mutation already runs one at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -59,7 +59,7 @@ from repro.core.invariants import (
     InvariantViolation,
     resolve_check_level,
 )
-from repro.core.metrics import SimulationStats, merge_all, unified_miss_rate
+from repro.core.metrics import SimulationStats, merge_all
 from repro.core.overhead import PAPER_MODEL, OverheadModel
 from repro.core.policies import (
     EvictionPolicy,
@@ -356,7 +356,6 @@ class SharedArena:
         self._until_check = (
             self.checker.cadence if self.checker is not None else 0
         )
-        self._lock = threading.Lock()
         self._tenants: dict[str, TenantState] = {}
         self._by_slot: list[TenantState] = []
         self._closed_stats: list[SimulationStats] = []
@@ -427,10 +426,6 @@ class SharedArena:
         """A picklable snapshot of the whole arena (tenants, policy
         cache state, counters) — everything recovery needs besides the
         write-ahead log tail."""
-        with self._lock:
-            return self._snapshot_state_locked()
-
-    def _snapshot_state_locked(self) -> dict:
         return {
             "version": self.SNAPSHOT_VERSION,
             "fingerprint": self.fingerprint(),
@@ -452,10 +447,9 @@ class SharedArena:
         """Write a snapshot immediately (True when one was written)."""
         if self.persister is None:
             return False
-        with self._lock:
-            return self.persister.write_snapshot(
-                self._snapshot_state_locked(), self.total_accesses
-            )
+        return self.persister.write_snapshot(
+            self.snapshot_state(), self.total_accesses
+        )
 
     # -- Tenant lifecycle ---------------------------------------------------
 
@@ -473,90 +467,89 @@ class SharedArena:
         assigns private per-tenant digests, so the tenant participates
         in the shared id space but never dedups.
         """
-        with self._lock:
-            if name in self._tenants:
+        if name in self._tenants:
+            raise ConfigurationError(
+                f"tenant {name!r} is already attached"
+            )
+        if not block_sizes:
+            raise ConfigurationError(
+                f"tenant {name!r} needs at least one superblock"
+            )
+        if len(block_sizes) > NAMESPACE_STRIDE:
+            raise ConfigurationError(
+                f"tenant {name!r} has {len(block_sizes)} blocks; the "
+                f"namespace holds {NAMESPACE_STRIDE}"
+            )
+        largest = max(block_sizes)
+        if largest > self._blocks.max_block_bytes:
+            raise ConfigurationError(
+                f"tenant {name!r} block of {largest} B exceeds the "
+                f"arena's max_block_bytes "
+                f"({self._blocks.max_block_bytes} B)"
+            )
+        quota = quota or TenantQuota(quota_bytes=self.capacity_bytes)
+        if quota.quota_bytes < largest:
+            raise ConfigurationError(
+                f"tenant {name!r} quota of {quota.quota_bytes} B "
+                f"cannot hold its largest block ({largest} B)"
+            )
+        if self.sharing is None and block_digests is not None:
+            raise ConfigurationError(
+                f"tenant {name!r} sent block_digests but this "
+                f"arena has sharing disabled"
+            )
+        if self.sharing is not None and block_digests is None:
+            # Private digests: the tenant shares the id space but
+            # not content — sharing degrades to namespacing.
+            block_digests = [
+                f"~{name}/{i}" for i in range(len(block_sizes))
+            ]
+        # Validate digests before anything is WAL-logged or mutated,
+        # so a rejected attach leaves no trace to replay.
+        if block_digests is not None:
+            if len(block_digests) != len(block_sizes):
                 raise ConfigurationError(
-                    f"tenant {name!r} is already attached"
+                    f"tenant {name!r} has {len(block_sizes)} blocks "
+                    f"but {len(block_digests)} digests"
                 )
-            if not block_sizes:
+            if any(not isinstance(d, str) or not d
+                   for d in block_digests):
                 raise ConfigurationError(
-                    f"tenant {name!r} needs at least one superblock"
+                    f"tenant {name!r} block_digests must be "
+                    f"non-empty strings"
                 )
-            if len(block_sizes) > NAMESPACE_STRIDE:
+            if len(set(block_digests)) != len(block_digests):
                 raise ConfigurationError(
-                    f"tenant {name!r} has {len(block_sizes)} blocks; the "
-                    f"namespace holds {NAMESPACE_STRIDE}"
+                    f"tenant {name!r} block_digests contain "
+                    f"duplicates"
                 )
-            largest = max(block_sizes)
-            if largest > self._blocks.max_block_bytes:
-                raise ConfigurationError(
-                    f"tenant {name!r} block of {largest} B exceeds the "
-                    f"arena's max_block_bytes "
-                    f"({self._blocks.max_block_bytes} B)"
-                )
-            quota = quota or TenantQuota(quota_bytes=self.capacity_bytes)
-            if quota.quota_bytes < largest:
-                raise ConfigurationError(
-                    f"tenant {name!r} quota of {quota.quota_bytes} B "
-                    f"cannot hold its largest block ({largest} B)"
-                )
-            if self.sharing is None and block_digests is not None:
-                raise ConfigurationError(
-                    f"tenant {name!r} sent block_digests but this "
-                    f"arena has sharing disabled"
-                )
-            if self.sharing is not None and block_digests is None:
-                # Private digests: the tenant shares the id space but
-                # not content — sharing degrades to namespacing.
-                block_digests = [
-                    f"~{name}/{i}" for i in range(len(block_sizes))
-                ]
-            # Validate digests before anything is WAL-logged or mutated,
-            # so a rejected attach leaves no trace to replay.
-            if block_digests is not None:
-                if len(block_digests) != len(block_sizes):
-                    raise ConfigurationError(
-                        f"tenant {name!r} has {len(block_sizes)} blocks "
-                        f"but {len(block_digests)} digests"
-                    )
-                if any(not isinstance(d, str) or not d
-                       for d in block_digests):
-                    raise ConfigurationError(
-                        f"tenant {name!r} block_digests must be "
-                        f"non-empty strings"
-                    )
-                if len(set(block_digests)) != len(block_digests):
-                    raise ConfigurationError(
-                        f"tenant {name!r} block_digests contain "
-                        f"duplicates"
-                    )
-                if self.sharing is not None:
-                    for digest, size in zip(block_digests, block_sizes):
-                        entry = self.sharing.by_digest.get(digest)
-                        if entry is not None and entry.size != size:
-                            raise ConfigurationError(
-                                f"tenant {name!r} digest {digest!r} maps "
-                                f"to {size} B but the arena already "
-                                f"holds it at {entry.size} B (content "
-                                f"hash collision)"
-                            )
-            tenant = TenantState(name, len(self._by_slot), block_sizes,
-                                 quota, self.simulator.overhead_model)
-            if self.persister is not None:
-                self.persister.log_attach(name, block_sizes, quota,
-                                          block_digests)
             if self.sharing is not None:
-                self._map_shared(tenant, block_sizes, block_digests)
-            else:
-                sizes = self._blocks.sizes()
-                for local_sid, size in enumerate(block_sizes):
-                    gid = tenant.offset + local_sid
-                    sizes[gid] = size
-                    if self.checker is not None:
-                        self.checker.register_block(gid, size)
-            self._tenants[name] = tenant
-            self._by_slot.append(tenant)
-            return tenant
+                for digest, size in zip(block_digests, block_sizes):
+                    entry = self.sharing.by_digest.get(digest)
+                    if entry is not None and entry.size != size:
+                        raise ConfigurationError(
+                            f"tenant {name!r} digest {digest!r} maps "
+                            f"to {size} B but the arena already "
+                            f"holds it at {entry.size} B (content "
+                            f"hash collision)"
+                        )
+        tenant = TenantState(name, len(self._by_slot), block_sizes,
+                             quota, self.simulator.overhead_model)
+        if self.persister is not None:
+            self.persister.log_attach(name, block_sizes, quota,
+                                      block_digests)
+        if self.sharing is not None:
+            self._map_shared(tenant, block_sizes, block_digests)
+        else:
+            sizes = self._blocks.sizes()
+            for local_sid, size in enumerate(block_sizes):
+                gid = tenant.offset + local_sid
+                sizes[gid] = size
+                if self.checker is not None:
+                    self.checker.register_block(gid, size)
+        self._tenants[name] = tenant
+        self._by_slot.append(tenant)
+        return tenant
 
     def _map_shared(self, tenant: TenantState, block_sizes: list[int],
                     block_digests: list[str]) -> None:
@@ -587,26 +580,25 @@ class SharedArena:
         and byte conservation remain true for the whole service life),
         and is returned for the session's goodbye message.
         """
-        with self._lock:
-            tenant = self._require(name)
-            if self.persister is not None:
-                self.persister.log_detach(name)
-            if self.sharing is not None:
-                if tenant.resident:
-                    self._release_shared(tenant, list(tenant.resident),
-                                         tenant.stats)
-                for gid in set(tenant.block_map or ()):
-                    self.sharing.by_gid[gid].mapped.discard(tenant.slot)
-                tenant.attributed_bytes = 0.0
-                tenant.order.clear()
-            elif tenant.resident:
-                events = self.policy.evict_blocks(tenant.resident)
-                self._attribute_events(events, tenant.stats)
-            tenant.detached = True
-            del self._tenants[name]
-            self._closed_stats.append(tenant.stats)
-            self._check_maybe(force=True)
-            return tenant.stats
+        tenant = self._require(name)
+        if self.persister is not None:
+            self.persister.log_detach(name)
+        if self.sharing is not None:
+            if tenant.resident:
+                self._release_shared(tenant, list(tenant.resident),
+                                     tenant.stats)
+            for gid in set(tenant.block_map or ()):
+                self.sharing.by_gid[gid].mapped.discard(tenant.slot)
+            tenant.attributed_bytes = 0.0
+            tenant.order.clear()
+        elif tenant.resident:
+            events = self.policy.evict_blocks(tenant.resident)
+            self._attribute_events(events, tenant.stats)
+        tenant.detached = True
+        del self._tenants[name]
+        self._closed_stats.append(tenant.stats)
+        self._check_maybe(force=True)
+        return tenant.stats
 
     def _require(self, name: str) -> TenantState:
         try:
@@ -618,41 +610,37 @@ class SharedArena:
 
     def access(self, name: str, local_sid: int) -> bool:
         """Serve one access for tenant *name*; True on a cache hit."""
-        with self._lock:
-            tenant = self._require(name)
-            return self._access_locked(tenant, local_sid)
+        return self._access(self._require(name), local_sid)
 
     def access_many(self, name: str, local_sids, tseq: int | None = None) -> int:
-        """Serve a batch under one lock acquisition; returns hit count.
+        """Serve a batch; returns its hit count.
 
         ``tseq`` is the client-assigned per-tenant batch sequence number
         for exactly-once application: a batch at or below the tenant's
         ``applied_seq`` watermark is a duplicate (a resend after a
         failover) and is skipped without touching the cache.  The batch
-        is write-ahead logged *inside* the same critical section that
-        applies it, so the WAL's record order is exactly the arena's
-        apply order — replay reproduces the identical interleaving.
+        is write-ahead logged in the same call that applies it, and the
+        arena has one owner, so the WAL's record order is exactly the
+        arena's apply order — replay reproduces the identical
+        interleaving.
         """
-        with self._lock:
-            tenant = self._require(name)
-            if tseq is not None and tseq <= tenant.applied_seq:
-                return 0  # duplicate resend; already applied and logged
-            if self.persister is not None:
-                self.persister.log_access(name, local_sids, tseq)
-            hits = 0
-            for local_sid in local_sids:
-                if self._access_locked(tenant, local_sid):
-                    hits += 1
-            if tseq is not None:
-                tenant.applied_seq = tseq
-            if (self.persister is not None
-                    and self.persister.snapshot_due(self.total_accesses)):
-                self.persister.write_snapshot(
-                    self._snapshot_state_locked(), self.total_accesses
-                )
-            return hits
+        tenant = self._require(name)
+        if tseq is not None and tseq <= tenant.applied_seq:
+            return 0  # duplicate resend; already applied and logged
+        if self.persister is not None:
+            self.persister.log_access(name, local_sids, tseq)
+        hits = 0
+        for local_sid in local_sids:
+            if self._access(tenant, local_sid):
+                hits += 1
+        if tseq is not None:
+            tenant.applied_seq = tseq
+        if (self.persister is not None
+                and self.persister.snapshot_due(self.total_accesses)):
+            self.snapshot_now()
+        return hits
 
-    def _access_locked(self, tenant: TenantState, local_sid: int) -> bool:
+    def _access(self, tenant: TenantState, local_sid: int) -> bool:
         if not 0 <= local_sid < tenant.block_count:
             raise KeyError(
                 f"tenant {tenant.name!r} has no superblock {local_sid} "
@@ -950,29 +938,21 @@ class SharedArena:
     # -- Reporting and checking --------------------------------------------
 
     def tenants(self) -> list[TenantState]:
-        with self._lock:
-            return list(self._by_slot)
+        return list(self._by_slot)
 
     def tenant_stats(self, name: str) -> SimulationStats:
-        with self._lock:
-            return self._require(name).stats
+        return self._require(name).stats
 
     def has_tenant(self, name: str) -> bool:
-        with self._lock:
-            return name in self._tenants
+        return name in self._tenants
 
     def applied_seq(self, name: str) -> int:
         """The tenant's exactly-once watermark (0 before any sequenced
         batch) — what a resumed session restarts from."""
-        with self._lock:
-            return self._require(name).applied_seq
+        return self._require(name).applied_seq
 
     def unified_stats(self) -> SimulationStats:
         """All tenants merged — Equation 1 across the whole service."""
-        with self._lock:
-            return self._unified_locked()
-
-    def _unified_locked(self) -> SimulationStats:
         records = ([t.stats for t in self._tenants.values()]
                    + self._closed_stats)
         if not records:
@@ -984,20 +964,13 @@ class SharedArena:
         merged.benchmark = "unified"
         return merged
 
-    def unified_miss_rate(self) -> float:
-        with self._lock:
-            records = ([t.stats for t in self._tenants.values()]
-                       + self._closed_stats)
-            return unified_miss_rate(records)
-
     @property
     def resident_bytes(self) -> int:
         return self._resident_bytes
 
     def check_now(self) -> None:
         """Run a full invariant pass immediately (no-op when off)."""
-        with self._lock:
-            self._check_maybe(force=True)
+        self._check_maybe(force=True)
 
     def _check_maybe(self, force: bool = False) -> None:
         checker = self.checker
@@ -1008,7 +981,7 @@ class SharedArena:
             if self._until_check > 0:
                 return
         self._until_check = checker.cadence
-        checker.run_checks(self._unified_locked(),
+        checker.run_checks(self.unified_stats(),
                            access_index=self.total_accesses)
         if self.sharing is not None:
             self._check_sharing()
@@ -1103,35 +1076,34 @@ class SharedArena:
 
     def to_dict(self) -> dict:
         """Arena-level counters for reports and the service stats op."""
-        with self._lock:
-            report = {
-                "policy": self.policy.name,
-                "capacity_bytes": self.capacity_bytes,
-                "resident_bytes": self._resident_bytes,
-                "logical_bytes": self._logical_bytes,
-                "peak_resident_bytes": self.peak_resident_bytes,
-                "peak_logical_bytes": self.peak_logical_bytes,
-                "tenants": len(self._tenants),
-                "closed_tenants": len(self._closed_stats),
-                "total_accesses": self.total_accesses,
-                "pressure_reclaims": self.pressure_reclaims,
-                "pressure_reclaimed_bytes": self.pressure_reclaimed_bytes,
-                "check_level": self.check_level,
-                "sharing": self.sharing is not None,
+        report = {
+            "policy": self.policy.name,
+            "capacity_bytes": self.capacity_bytes,
+            "resident_bytes": self._resident_bytes,
+            "logical_bytes": self._logical_bytes,
+            "peak_resident_bytes": self.peak_resident_bytes,
+            "peak_logical_bytes": self.peak_logical_bytes,
+            "tenants": len(self._tenants),
+            "closed_tenants": len(self._closed_stats),
+            "total_accesses": self.total_accesses,
+            "pressure_reclaims": self.pressure_reclaims,
+            "pressure_reclaimed_bytes": self.pressure_reclaimed_bytes,
+            "check_level": self.check_level,
+            "sharing": self.sharing is not None,
+        }
+        if self.sharing is not None:
+            sharing = self.sharing
+            report["sharing_stats"] = {
+                "entries": len(sharing.by_gid),
+                "shared_refs": sum(
+                    len(e.mapped) for e in sharing.by_gid.values()
+                ),
+                "shared_joins": sharing.shared_joins,
+                "deferred_releases": sharing.deferred_releases,
+                "last_owner_evictions": sharing.last_owner_evictions,
+                "shared_policy_evictions":
+                    sharing.shared_policy_evictions,
+                "dedup_ratio": (self.peak_logical_bytes
+                                / max(1, self.peak_resident_bytes)),
             }
-            if self.sharing is not None:
-                sharing = self.sharing
-                report["sharing_stats"] = {
-                    "entries": len(sharing.by_gid),
-                    "shared_refs": sum(
-                        len(e.mapped) for e in sharing.by_gid.values()
-                    ),
-                    "shared_joins": sharing.shared_joins,
-                    "deferred_releases": sharing.deferred_releases,
-                    "last_owner_evictions": sharing.last_owner_evictions,
-                    "shared_policy_evictions":
-                        sharing.shared_policy_evictions,
-                    "dedup_ratio": (self.peak_logical_bytes
-                                    / max(1, self.peak_resident_bytes)),
-                }
-            return report
+        return report

@@ -2,6 +2,7 @@
 backpressure, and graceful drain."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.service.server import (
     benchmark_sizes,
 )
 from repro.service.session import Session, SessionError
+from repro.service.tenancy import SharedArena
 
 
 def _service(**overrides) -> CacheService:
@@ -139,6 +141,36 @@ class TestTcpProtocol:
             service.arena.check_now()
 
         asyncio.run(scenario())
+
+    def test_arena_runs_on_the_loop_thread(self, monkeypatch):
+        """The event loop owns the arena: every batch of a TCP round
+        trip is simulated on the loop's own thread, never handed off."""
+        threads = []
+        access_many = SharedArena.access_many
+
+        def recording(self, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return access_many(self, *args, **kwargs)
+
+        monkeypatch.setattr(SharedArena, "access_many", recording)
+
+        async def scenario():
+            service = _service()
+            await service.start()
+            client = await ServiceClient.connect("127.0.0.1", service.port)
+            try:
+                assert (await client.hello("t", block_sizes=[512] * 8))["ok"]
+                for _ in range(3):
+                    assert (await client.access(list(range(8))))["ok"]
+                assert (await client.stats())["tenant"]["accesses"] == 24
+            finally:
+                await client.aclose()
+            await service.drain()
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(scenario())
+        assert len(threads) == 3
+        assert set(threads) == {loop_thread}
 
     def test_request_before_hello_rejected(self):
         async def scenario():

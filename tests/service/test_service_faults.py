@@ -3,6 +3,7 @@ must fail alone — neighbours keep running, per-tenant stats stay
 conserved, and the arena's invariants stay clean."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -17,6 +18,42 @@ def _service(**overrides) -> CacheService:
                     retry_after=0.01, check_level="light")
     defaults.update(overrides)
     return CacheService(ServiceConfig(**defaults))
+
+
+def _assert_hang_stalls_only_slow(point: str, times: int) -> None:
+    """A hang at one of a session's fault points stalls that session's
+    task only: a neighbour keeps completing round trips throughout."""
+    hang = 0.4
+
+    async def scenario():
+        service = _service()
+        slow = service.open_session("slow", block_sizes=[512] * 8)
+        fast = service.open_session("fast", block_sizes=[512] * 8)
+        with faults.plan(faults.FaultSpec(point=point, keys=("slow",),
+                                          mode="hang", times=times,
+                                          hang_seconds=hang)):
+            slow.submit(list(range(8)))
+            stalled = asyncio.create_task(slow.stats())
+            # The neighbour keeps completing round trips, each well
+            # inside one hang, while the slow session's task sleeps.
+            hang_ends = time.monotonic() + hang * times
+            rounds = 0
+            while time.monotonic() < hang_ends - 0.1:
+                started = time.monotonic()
+                fast.submit(list(range(8)))
+                await fast.stats()
+                await asyncio.sleep(0.02)
+                assert time.monotonic() - started < hang / 2
+                rounds += 1
+            assert rounds > 0
+            assert not stalled.done()
+            # Once the hang elapses, the slow session recovers.
+            stats = await asyncio.wait_for(stalled, timeout=2.0)
+            assert stats["accesses"] == 8
+        await service.drain()
+        service.arena.check_now()
+
+    asyncio.run(scenario())
 
 
 class TestAcceptFaults:
@@ -109,28 +146,12 @@ class TestSessionFaults:
         asyncio.run(scenario())
 
     def test_hanging_session_stalls_only_itself(self):
-        async def scenario():
-            service = _service()
-            slow = service.open_session("slow", block_sizes=[512] * 8)
-            fast = service.open_session("fast", block_sizes=[512] * 8)
-            with faults.plan(faults.FaultSpec(point="service.session",
-                                              keys=("slow",), mode="hang",
-                                              hang_seconds=0.4)):
-                slow.submit(list(range(8)))
-                await asyncio.sleep(0.05)  # the hang is now in flight
-                # The neighbour completes a full round trip while the
-                # slow tenant's consumer thread sleeps.
-                fast.submit(list(range(8)))
-                stats = await asyncio.wait_for(fast.stats(), timeout=0.3)
-                assert stats["accesses"] == 8
-                assert slow.batches_applied == 0
-                # Once the hang elapses, the slow session recovers.
-                await asyncio.wait_for(slow.flush(), timeout=2.0)
-                assert slow.batches_applied == 1
-            await service.drain()
-            service.arena.check_now()
+        _assert_hang_stalls_only_slow("service.session", times=1)
 
-        asyncio.run(scenario())
+    def test_hanging_flush_stalls_only_itself(self):
+        # times=2 covers both fires of one stats() call: the flush and
+        # the payload check.
+        _assert_hang_stalls_only_slow("service.flush", times=2)
 
     def test_flush_fault_surfaces_but_session_survives(self):
         async def scenario():

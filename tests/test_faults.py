@@ -1,5 +1,6 @@
 """Deterministic fault-injection registry: arming, firing, determinism."""
 
+import asyncio
 import os
 import time
 
@@ -111,6 +112,85 @@ class TestFiring:
 
     def test_corrupt_empty_data_still_returns_garbage(self):
         assert faults.corrupt_bytes(b"") == b"\xff"
+
+
+def _outcome(call):
+    """What one fault-point call did: its returned data or its fault."""
+    try:
+        return ("data", call())
+    except faults.InjectedFault as fault:
+        return ("raise", fault.point, fault.key, fault.index)
+
+
+class TestFireAsync:
+    def test_disarmed_fire_async_is_a_passthrough(self):
+        payload = b"payload"
+        assert asyncio.run(
+            faults.fire_async("service.flush", key="k", data=payload)
+        ) is payload
+
+    def test_hang_awaits_without_blocking_the_loop(self):
+        spec = faults.FaultSpec(point="service.session", mode="hang",
+                                hang_seconds=0.3)
+
+        async def scenario():
+            ticks = 0
+
+            async def sibling():
+                nonlocal ticks
+                while True:
+                    await asyncio.sleep(0.01)
+                    ticks += 1
+
+            ticker = asyncio.create_task(sibling())
+            started = time.monotonic()
+            await faults.fire_async("service.session", key="k")
+            elapsed = time.monotonic() - started
+            ticker.cancel()
+            return elapsed, ticks
+
+        with faults.plan(spec):
+            elapsed, ticks = asyncio.run(scenario())
+        assert elapsed >= 0.25
+        assert ticks >= 5  # the sibling ran during the hang
+
+    @pytest.mark.parametrize("specs", [
+        (faults.FaultSpec(point="service.flush", times=2),),
+        (faults.FaultSpec(point="service.flush", mode="corrupt", times=2,
+                          seed=5),),
+        (faults.FaultSpec(point="service.flush", mode="corrupt", seed=1),
+         faults.FaultSpec(point="service.flush", times=3, keys=("b",))),
+    ])
+    def test_raise_and_corrupt_match_fire(self, specs):
+        payload = bytes(range(256))
+        calls = [("a", payload), ("b", payload), ("a", payload),
+                 ("b", None), ("a", payload), ("b", payload)]
+        with faults.plan(*specs):
+            expected = [
+                _outcome(lambda k=k, d=d: faults.fire(
+                    "service.flush", key=k, data=d))
+                for k, d in calls
+            ]
+        with faults.plan(*specs):
+            got = [
+                _outcome(lambda k=k, d=d: asyncio.run(faults.fire_async(
+                    "service.flush", key=k, data=d)))
+                for k, d in calls
+            ]
+        assert got == expected
+        assert expected != [("data", d) for _, d in calls]  # plan fired
+
+    def test_call_counter_is_shared_with_fire(self):
+        spec = faults.FaultSpec(point="service.flush", times=2)
+        with faults.plan(spec):
+            with pytest.raises(faults.InjectedFault) as first:
+                faults.fire("service.flush", key="k")
+            with pytest.raises(faults.InjectedFault) as second:
+                asyncio.run(faults.fire_async("service.flush", key="k"))
+            # Call 3 outlasts the schedule, whichever entry reports it.
+            faults.fire("service.flush", key="k")
+            asyncio.run(faults.fire_async("service.flush", key="k"))
+        assert (first.value.index, second.value.index) == (1, 2)
 
 
 class TestArming:
