@@ -8,9 +8,8 @@ holds up best when the pressure comes from multiprogramming rather than
 from a single large application?
 """
 
+from repro.analysis.kernel import ladder_kernel_configs, one_pass_sweep
 from repro.analysis.report import ExperimentResult
-from repro.core.policies import granularity_ladder
-from repro.core.simulator import simulate
 from repro.workloads.multiprogram import combine_workloads
 from repro.workloads.registry import build_workload, get_benchmark
 
@@ -30,13 +29,14 @@ def _run_extension():
     capacity = combined.max_cache_bytes // SHARE_FRACTION
     rows = []
     series = {}
-    for policy in granularity_ladder(unit_counts=UNIT_COUNTS):
-        stats = simulate(combined.superblocks, policy, capacity,
-                         combined.trace, benchmark="multiprogram")
-        rows.append((policy.name, stats.miss_rate,
+    ladder = one_pass_sweep(combined.superblocks, combined.trace, capacity,
+                            ladder_kernel_configs(UNIT_COUNTS),
+                            benchmark="multiprogram")
+    for policy_name, stats in ladder.items():
+        rows.append((policy_name, stats.miss_rate,
                      stats.eviction_invocations,
                      stats.total_overhead / 1e6))
-        series[policy.name] = {
+        series[policy_name] = {
             "miss": stats.miss_rate,
             "overhead": stats.total_overhead,
         }

@@ -8,11 +8,10 @@ conclusion survives 2x swings of the eviction fixed cost, the miss cost
 and the unlink cost.
 """
 
+from repro.analysis.kernel import ladder_kernel_configs, one_pass_sweep
 from repro.analysis.report import ExperimentResult
 from repro.analysis.sensitivity import overhead_model_sensitivity
-from repro.core.policies import granularity_ladder
 from repro.core.pressure import pressured_capacity
-from repro.core.simulator import simulate
 from repro.workloads.registry import build_workload, get_benchmark
 
 from conftest import SCALE
@@ -28,10 +27,11 @@ def _run_study():
         workload = build_workload(get_benchmark(name), scale=SCALE)
         blocks = workload.superblocks
         capacity = pressured_capacity(blocks, PRESSURE)
-        for policy in granularity_ladder(unit_counts=UNIT_COUNTS):
-            stats = simulate(blocks, policy, capacity, workload.trace,
-                             benchmark=name)
-            per_policy.setdefault(policy.name, []).append(stats)
+        ladder = one_pass_sweep(blocks, workload.trace, capacity,
+                                ladder_kernel_configs(UNIT_COUNTS),
+                                benchmark=name)
+        for policy_name, stats in ladder.items():
+            per_policy.setdefault(policy_name, []).append(stats)
     points = overhead_model_sensitivity(per_policy)
     rows = [
         (point.label, point.winner, point.flush_relative,

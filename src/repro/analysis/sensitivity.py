@@ -15,11 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.kernel import ladder_kernel_configs, one_pass_sweep
 from repro.core.metrics import repriced_overhead
 from repro.core.overhead import PAPER_MODEL, LinearCost, OverheadModel
-from repro.core.policies import granularity_ladder
 from repro.core.pressure import pressured_capacity
-from repro.core.simulator import simulate
 from repro.workloads.registry import BenchmarkSpec, build_workload
 from repro.workloads.traces import TraceConfig, generate_trace
 
@@ -79,10 +78,12 @@ def _contest(spec: BenchmarkSpec, config: TraceConfig, pressure: float,
     trace = generate_trace(len(workload.superblocks), config, rng)
     blocks = workload.superblocks
     capacity = pressured_capacity(blocks, pressure)
-    overheads: dict[str, float] = {}
-    for policy in granularity_ladder(unit_counts=tuple(unit_counts)):
-        stats = simulate(blocks, policy, capacity, trace)
-        overheads[policy.name] = stats.total_overhead
+    # The whole FLUSH..64-unit + FIFO ladder in one trace traversal,
+    # field-identical to replaying each rung (see kernel-check).
+    ladder = one_pass_sweep(blocks, trace, capacity,
+                            ladder_kernel_configs(tuple(unit_counts)))
+    overheads = {name: stats.total_overhead
+                 for name, stats in ladder.items()}
     winner = min(overheads, key=overheads.get)
     return winner, overheads
 

@@ -4,7 +4,8 @@ The paper fixes its eviction ladder by hand; this package discovers
 policies instead, PolicySmith-style: a tiny typed expression language
 (:mod:`repro.search.expr`) scores resident superblocks by their cache
 features, :class:`~repro.search.priority.PriorityFunctionPolicy` evicts
-the lowest-scoring block, and a generational search driver
+the lowest-scoring block through a victim loop compiled once from the
+expression, and a generational search driver
 (:mod:`repro.search.driver`) mutates a population of expressions and
 scores each candidate against the parallel sweep engine.  Fitness is
 the paper's unified Eq. 1 miss rate under high pressure, tie-broken on

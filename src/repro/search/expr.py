@@ -8,6 +8,11 @@ results are clamped to a finite range with NaN mapped to zero), so any
 tree that parses also evaluates — a mutated candidate can be wrong, but
 it can never crash the simulator.
 
+:func:`evaluate` is the definition of a score.  The policy does not run
+it: :func:`expression_source` emits Python statements that compute the
+same float bit for bit, which the policy compiles into its victim loop
+(:func:`compile_expr` compiles them into a plain scoring function).
+
 Trees are immutable, hashable, JSON round-trippable (the wire format the
 search driver ships to pool workers via policy specs), and mutated by
 deterministic seeded operators: constant perturbation, feature swap,
@@ -157,6 +162,121 @@ def evaluate(node: Expr, features: Mapping[str, float]) -> float:
     if op == "min":
         return min(left, right)
     return max(left, right)  # max
+
+
+# -- Compilation --------------------------------------------------------------
+#
+# ``evaluate`` is the definition; the compiler emits Python source that
+# computes the same float bit for bit, one statement per node, on plain
+# locals named after the features.  Only validated node types reach the
+# emitter: constants become ``repr(float)`` literals, features and ops
+# are looked up in the fixed tables below, so no string from a
+# serialized tree is ever pasted into the source.
+
+_LIMIT = repr(SCORE_LIMIT)
+
+#: Python's ``min(a, b)`` keeps ``a`` unless ``b < a`` (and ``max``
+#: unless ``b > a``); the inline forms keep that operand order so
+#: signed zeros come out the same.
+_BINARY_SOURCE = {
+    "add": "{l} + {r}",
+    "sub": "{l} - {r}",
+    "mul": "{l} * {r}",
+    # Protected division: ``abs(r) < 1e-9`` without the call.
+    "div": "{l} if -1e-09 < {r} < 1e-09 else {l} / {r}",
+    "min": "{r} if {r} < {l} else {l}",
+    "max": "{r} if {r} > {l} else {l}",
+}
+_UNARY_SOURCE = {
+    "neg": "-{x}",
+    "log1p": "_log1p(abs({x}))",
+}
+
+
+def _clamp_source(name: str) -> list[str]:
+    """Statements applying ``_clamp`` to local *name* in place."""
+    return [f"if not -{_LIMIT} <= {name} <= {_LIMIT}:",
+            f"    {name} = 0.0 if {name} != {name} else "
+            f"({_LIMIT} if {name} > {_LIMIT} else -{_LIMIT})"]
+
+
+def expression_source(node: Expr) -> tuple[list[str], str]:
+    """``(statements, result)``: source that leaves ``evaluate(node, f)``
+    in the operand *result*, given each feature it reads as a clamped
+    float local of the same name (see :func:`features_read`).
+
+    Every operand is finite (constants are, and every other value is a
+    clamp, ``log1p`` or ``min``/``max`` of finite values), so a clamp
+    is emitted only where it can change the value: ``log1p`` of a
+    finite magnitude is at most about 710, and negating an in-range
+    value keeps it in range.
+    """
+    lines: list[str] = []
+
+    def emit(current: Expr) -> tuple[str, bool]:
+        """``(operand, in_range)``: *in_range* when the value provably
+        lies within ±``SCORE_LIMIT``."""
+        if isinstance(current, Const):
+            value = float(current.value)
+            if not math.isfinite(value):
+                raise ExpressionError(f"constant must be finite, got {value!r}")
+            return f"({value!r})", abs(value) <= SCORE_LIMIT
+        if isinstance(current, Feature):
+            if current.name not in FEATURES:
+                raise ExpressionError(f"unknown feature {current.name!r}")
+            return current.name, True
+        if isinstance(current, Unary):
+            child, in_range = emit(current.child)
+            template = _UNARY_SOURCE.get(current.op)
+            operands = {"x": child}
+            clamp = current.op == "neg" and not in_range
+            in_range = True
+        elif isinstance(current, Binary):
+            (left, left_in), (right, right_in) = (emit(current.left),
+                                                  emit(current.right))
+            template = _BINARY_SOURCE.get(current.op)
+            operands = {"l": left, "r": right}
+            clamp = current.op not in ("min", "max")
+            in_range = clamp or (left_in and right_in)
+        else:
+            raise ExpressionError(f"not an expression node: {current!r}")
+        if template is None:
+            raise ExpressionError(f"unknown op {current.op!r}")
+        name = f"_t{len(lines)}"
+        lines.append(f"{name} = {template.format(**operands)}")
+        if clamp:
+            lines.extend(_clamp_source(name))
+        return name, in_range
+
+    return lines, emit(node)[0]
+
+
+def features_read(node: Expr) -> tuple[str, ...]:
+    """The features *node* reads, in canonical ``FEATURES`` order."""
+    used = {n.name for n in iter_nodes(node) if isinstance(n, Feature)}
+    return tuple(name for name in FEATURES if name in used)
+
+
+def compile_source(source: str, name: str) -> Callable:
+    """Define the function *name* from generated *source*."""
+    namespace: dict = {"_log1p": math.log1p, "_inf": math.inf}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def compile_expr(node: Expr) -> Callable[..., float]:
+    """*node* as a Python function of the feature values, positional in
+    ``FEATURES`` order, that returns ``evaluate(node, features)`` bit
+    for bit (``evaluate`` is the oracle the tests hold it to)."""
+    lines, result = expression_source(node)
+    body = []
+    for feature in features_read(node):
+        body.append(f"{feature} = float({feature})")
+        body.extend(_clamp_source(feature))
+    body += lines + [f"return {result}"]
+    source = (f"def score({', '.join(FEATURES)}):\n"
+              + "".join(f"    {line}\n" for line in body))
+    return compile_source(source, "score")
 
 
 # -- Structure queries --------------------------------------------------------

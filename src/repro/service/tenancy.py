@@ -609,8 +609,12 @@ class SharedArena:
     # -- The access path ----------------------------------------------------
 
     def access(self, name: str, local_sid: int) -> bool:
-        """Serve one access for tenant *name*; True on a cache hit."""
-        return self._access(self._require(name), local_sid)
+        """Serve one access for tenant *name*; True on a cache hit.
+
+        A batch of one, so it is write-ahead logged and counted towards
+        the periodic snapshot like any other batch.
+        """
+        return self.access_many(name, [local_sid]) == 1
 
     def access_many(self, name: str, local_sids, tseq: int | None = None) -> int:
         """Serve a batch; returns its hit count.

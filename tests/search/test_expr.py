@@ -5,6 +5,8 @@ search's correctness rests on)."""
 import json
 import math
 import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.search.expr import (
     ExpressionError,
     Feature,
     Unary,
+    compile_expr,
     count_nodes,
     depth,
     evaluate,
@@ -106,6 +109,89 @@ class TestEvaluate:
         assert isinstance(value, float)
         assert math.isfinite(value)
         assert -SCORE_LIMIT <= value <= SCORE_LIMIT
+
+
+#: Values at the edges of the clamp, of protected division and of the
+#: float range, mixed into the generated constants and features.
+_EDGES = (
+    0.0, -0.0, 1.0, -1.0, 1e-9, -1e-9,
+    math.nextafter(1e-9, 0.0), math.nextafter(1e-9, 1.0),
+    -math.nextafter(1e-9, 0.0), SCORE_LIMIT, -SCORE_LIMIT,
+    math.nextafter(SCORE_LIMIT, math.inf), 1e300, -1e300,
+    sys.float_info.max, -sys.float_info.max, 5e-324,
+)
+
+
+def _edge_floats(finite: bool):
+    edges = _EDGES if finite else _EDGES + (math.nan, math.inf, -math.inf)
+    return st.one_of(
+        st.sampled_from(edges),
+        st.floats(allow_nan=not finite, allow_infinity=not finite),
+        st.floats(-1e6, 1e6),
+    )
+
+
+def _bounded_expressions():
+    leaves = st.one_of(st.sampled_from(FEATURES).map(Feature),
+                       _edge_floats(finite=True).map(Const))
+    trees = st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.tuples(st.sampled_from(UNARY_OPS), children).map(
+                lambda t: Unary(*t)),
+            st.tuples(st.sampled_from(BINARY_OPS), children,
+                      children).map(lambda t: Binary(*t)),
+        ),
+        max_leaves=16,
+    )
+    return trees.filter(lambda tree: depth(tree) <= MAX_DEPTH
+                        and count_nodes(tree) <= MAX_NODES)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestCompile:
+    @given(_bounded_expressions(),
+           st.tuples(*[_edge_floats(finite=False) for _ in FEATURES]))
+    @settings(max_examples=500, deadline=None)
+    def test_compiled_equals_evaluate_bit_for_bit(self, tree, values):
+        expected = evaluate(tree, dict(zip(FEATURES, values)))
+        assert _bits(compile_expr(tree)(*values)) == _bits(expected)
+
+    def test_signed_zero_divisor_edge_and_huge_constants(self):
+        features = dict.fromkeys(FEATURES, 0.0)
+        features["age"] = -0.0
+        features["size"] = 1e-9
+        huge = Const(1e300)
+        for tree in (
+            Binary("min", Feature("occupancy"), Feature("age")),
+            Binary("max", Feature("age"), Feature("occupancy")),
+            Binary("div", Const(3.0), Feature("size")),
+            Binary("div", Const(3.0), Const(-1e-9)),
+            Unary("neg", Feature("occupancy")),
+            # min/max pass an out-of-range constant through unclamped,
+            # so negating the result still needs the clamp.
+            Unary("neg", huge),
+            Unary("neg", Binary("max", huge, Feature("age"))),
+            Unary("neg", Binary("min", Feature("age"), Unary("neg", huge))),
+        ):
+            values = [features[name] for name in FEATURES]
+            assert (_bits(compile_expr(tree)(*values))
+                    == _bits(evaluate(tree, features)))
+
+    def test_only_validated_names_reach_the_source(self):
+        # A node whose fields were overwritten after validation is
+        # refused by the compiler rather than pasted into source.
+        feature = Feature("age")
+        object.__setattr__(feature, "name", "__import__('os')")
+        with pytest.raises(ExpressionError):
+            compile_expr(feature)
+        binary = Binary("add", Const(1.0), Const(2.0))
+        object.__setattr__(binary, "op", "add; import os")
+        with pytest.raises(ExpressionError):
+            compile_expr(binary)
 
 
 class TestRoundTrip:

@@ -1,6 +1,7 @@
 """PriorityFunctionPolicy: determinism, the FIFO-equivalent seed,
 targeted eviction, feature plumbing, and spec round-trips."""
 
+import pickle
 import random
 
 import pytest
@@ -14,8 +15,8 @@ from repro.core.simulator import CodeCacheSimulator
 from repro.core.superblock import Superblock, SuperblockSet
 from repro.search import expr as expr_mod
 from repro.search.driver import seed_expressions
-from repro.search.expr import Binary, Const, Feature, Unary
-from repro.search.priority import PriorityFunctionPolicy
+from repro.search.expr import FEATURES, Binary, Const, Feature, Unary
+from repro.search.priority import INSERT_SEQ, PriorityFunctionPolicy
 from repro.workloads.registry import all_benchmarks, build_workload
 
 GZIP = next(spec for spec in all_benchmarks() if spec.name == "gzip")
@@ -132,6 +133,53 @@ class TestPolicyBehaviour:
         assert blind.features_of(0)["out_degree"] == 0.0
 
 
+class _InterpretedPolicy(PriorityFunctionPolicy):
+    """Victims by the interpreted definition: ``min`` over
+    ``(score_of, insertion sequence, sid)``."""
+
+    def _choose_victim(self) -> int:
+        return min(self._records, key=lambda sid: (
+            self.score_of(sid), self._records[sid][INSERT_SEQ], sid))
+
+
+def _differential_expressions():
+    """The three seeds and 20 seeded mutants of them."""
+    seeds = [expression for _, expression in seed_expressions()]
+    rng = random.Random(2004)
+    mutants = []
+    for _ in range(20):
+        expression = rng.choice(seeds)
+        for _ in range(rng.randint(1, 6)):
+            expression = expr_mod.mutate(expression, rng)
+        mutants.append(expression)
+    return seeds + mutants
+
+
+class TestCompiledVictimLoop:
+    def test_mutants_read_every_feature(self):
+        read = set()
+        for expression in _differential_expressions():
+            read.update(expr_mod.features_read(expression))
+        assert read == set(FEATURES)
+
+    def test_compiled_equals_interpreted_victims(self, workload):
+        """Links on, pressure 10: the compiled victim loop and the
+        interpreted oracle give identical stats and eviction logs."""
+        for expression in _differential_expressions():
+            compiled = _eviction_log(
+                workload,
+                PriorityFunctionPolicy(expression, workload.superblocks),
+                pressure=10.0)
+            interpreted = _eviction_log(
+                workload,
+                _InterpretedPolicy(expression, workload.superblocks),
+                pressure=10.0)
+            assert compiled[0].to_dict() == interpreted[0].to_dict(), (
+                str(expression))
+            assert compiled[1] == interpreted[1], str(expression)
+            assert compiled[0].eviction_invocations > 0
+
+
 class TestTargetedEviction:
     def test_evicts_exactly_the_requested_blocks(self):
         policy = PriorityFunctionPolicy(Const(0.0))
@@ -178,6 +226,23 @@ class TestSpecRoundTrip:
         rebuilt = policy_from_spec(policy.to_spec(), workload.superblocks)
         _, log_b = _eviction_log(workload, rebuilt)
         assert log_a == log_b
+
+    def test_pickled_mid_run_policy_resumes_identically(self, workload):
+        expression = Binary("sub", Feature("hotness"),
+                            Unary("log1p", Feature("recency")))
+        capacity = pressured_capacity(workload.superblocks, 10.0)
+        half = len(workload.trace) // 2
+
+        def finish(policy):
+            simulator = CodeCacheSimulator(workload.superblocks, policy,
+                                           capacity, configure_policy=False)
+            return simulator.process(workload.trace[half:]).to_dict()
+
+        policy = PriorityFunctionPolicy(expression, workload.superblocks)
+        CodeCacheSimulator(workload.superblocks, policy,
+                           capacity).process(workload.trace[:half])
+        restored = pickle.loads(pickle.dumps(policy))
+        assert finish(restored) == finish(policy)
 
     def test_spec_without_expression_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -399,6 +399,23 @@ class TestPersisterUnit:
         persister.replaying = True
         assert not persister.snapshot_due(1000)
 
+    def test_single_accesses_survive_recovery(self, tmp_path):
+        """``access()`` goes through the WAL like ``access_many()``: eight
+        single accesses and one batch of two all come back."""
+        geometry = dict(policy="8-unit", capacity_bytes=64 * 1024,
+                        max_block_bytes=8192)
+        arena, _ = recover_arena(ArenaPersister(tmp_path), **geometry)
+        arena.attach("t", [512] * 16)
+        for sid in range(8):
+            arena.access("t", sid)
+        arena.access_many("t", [8, 9])
+        live = arena.tenant_stats("t").to_dict()
+        assert live["accesses"] == 10
+        recovered, report = recover_arena(ArenaPersister(tmp_path),
+                                          **geometry)
+        assert report["recovered"]
+        assert recovered.tenant_stats("t").to_dict() == live
+
     def test_recover_arena_from_empty_directory(self, tmp_path):
         persister = ArenaPersister(tmp_path)
         arena, report = recover_arena(
